@@ -1,15 +1,16 @@
 // Cross-component invariant auditor (DESIGN.md §13).
 //
-// Walks the Cluster, NameNode/DataNodes, JobTracker/Jobs, and
-// CheckpointStore and asserts the conservation invariants that hold at
-// every event boundary, fault injection or not:
+// Walks the NameNode/DataNodes, JobTracker/Jobs, and CheckpointStore and
+// asserts the conservation invariants that hold at every event boundary,
+// fault injection or not:
 //
 //   dfs.replica-consistency   NameNode replica lists, the per-node reverse
 //                             index, and physical DataNode block sets agree
 //                             (NameNode-side entries always have the bytes;
 //                             DataNodes may additionally hold stale blocks
 //                             of deleted files — that direction is not an
-//                             error).
+//                             error), and every replica names a node that
+//                             hosts a DataNode.
 //   mapred.task-attempts      Task state matches its live-attempt set
 //                             (kPending = none, kRunning = some), the
 //                             per-job live-attempt counter is conserved,
@@ -21,7 +22,10 @@
 //
 // The auditor is strictly read-only — running it cannot perturb the
 // simulation (same contract as obs::) — so it can ride as a periodic sim
-// event during chaos sweeps and be called directly from tests.
+// event during chaos sweeps and be called directly from tests. A pass that
+// finds nothing builds no report: the DFS check decides exactly, in
+// O(blocks + replicas), whether its forward report walk would find anything
+// and runs that walk only when it would (DESIGN.md §13).
 #pragma once
 
 #include <cstdint>
@@ -29,7 +33,6 @@
 #include <vector>
 
 #include "checkpoint/checkpoint_store.hpp"
-#include "cluster/cluster.hpp"
 #include "dfs/dfs.hpp"
 #include "mapred/jobtracker.hpp"
 
@@ -39,6 +42,7 @@ struct Violation {
   std::string invariant;  ///< e.g. "dfs.replica-consistency"
   std::string detail;
 
+  friend bool operator==(const Violation&, const Violation&) = default;
   friend bool operator<(const Violation& a, const Violation& b) {
     return a.invariant != b.invariant ? a.invariant < b.invariant
                                       : a.detail < b.detail;
@@ -48,11 +52,11 @@ struct Violation {
 class Auditor {
  public:
   /// Any ref may be null; the corresponding checks are skipped.
-  Auditor(cluster::Cluster* cluster, dfs::Dfs* dfs,
-          mapred::JobTracker* jobtracker);
+  Auditor(dfs::Dfs* dfs, mapred::JobTracker* jobtracker);
 
   /// Runs every applicable invariant once. Returns the violations found
-  /// (sorted, empty when clean) and logs each at error level.
+  /// (sorted, empty when clean) and logs each at error level. Metered as
+  /// sim::Profiler::Key::kAudit when a Dfs is attached.
   std::vector<Violation> run();
 
   [[nodiscard]] std::int64_t passes() const { return passes_; }
@@ -61,11 +65,12 @@ class Auditor {
   }
 
  private:
-  void check_dfs(std::vector<Violation>& out);
+  /// Reverse walk, then an exact clean-pass test; the forward report walk
+  /// runs only when that test fails (DESIGN.md §13).
+  void check_dfs(std::vector<Violation>& out) const;
   void check_mapred(std::vector<Violation>& out);
   void check_checkpoints(std::vector<Violation>& out);
 
-  cluster::Cluster* cluster_;
   dfs::Dfs* dfs_;
   mapred::JobTracker* jobtracker_;
   std::int64_t passes_ = 0;

@@ -431,10 +431,14 @@ void Dfs::recover_namenode() {
 }
 
 DataNode& Dfs::datanode(NodeId node) {
-  if (!node.valid() || node.value() >= datanodes_.size()) {
-    throw std::out_of_range("Dfs: unknown datanode");
-  }
-  return *datanodes_[node.value()];
+  DataNode* dn = find_datanode(node);
+  if (dn == nullptr) throw std::out_of_range("Dfs: unknown datanode");
+  return *dn;
+}
+
+DataNode* Dfs::find_datanode(NodeId node) {
+  if (!node.valid() || node.value() >= datanodes_.size()) return nullptr;
+  return datanodes_[node.value()].get();
 }
 
 bool Dfs::land_replica(BlockId block, NodeId target, Bytes size) {

@@ -64,6 +64,8 @@ class Dfs {
   [[nodiscard]] NameNode& namenode() { return namenode_; }
   [[nodiscard]] const NameNode& namenode() const { return namenode_; }
   [[nodiscard]] DataNode& datanode(NodeId node);
+  /// Non-throwing lookup: nullptr when `node` hosts no DataNode.
+  [[nodiscard]] DataNode* find_datanode(NodeId node);
   [[nodiscard]] const DfsConfig& config() const { return namenode_.config(); }
   [[nodiscard]] const DfsStats& stats() const { return namenode_.stats(); }
 

@@ -93,7 +93,7 @@ Environment::Environment(const ScenarioConfig& config)
   }
   if (config.faults.enabled && (config.faults.audit_interval > 0 ||
                                 config.faults.master_crash.enabled)) {
-    auditor = std::make_unique<moon::audit::Auditor>(&cluster, dfs.get(),
+    auditor = std::make_unique<moon::audit::Auditor>(dfs.get(),
                                                      jobtracker.get());
     if (config.faults.audit_interval > 0) {
       audit_task = std::make_unique<moon::sim::PeriodicTask>(

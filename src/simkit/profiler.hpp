@@ -33,6 +33,7 @@ class Profiler {
     kEventDispatch,    ///< Simulation::step callback dispatch (outermost:
                        ///< every other key is a sub-span of this one)
     kCheckpoint,       ///< CheckpointStore emit + attempt restore
+    kAudit,            ///< audit::Auditor::run invariant sweeps
     kCount,
   };
   static constexpr std::size_t kKeyCount = static_cast<std::size_t>(Key::kCount);
