@@ -1,8 +1,8 @@
 // End-to-end simulation-throughput microbenchmark: eager vs coalesced.
 //
 // Sweeps {64, 256, 1024}-node clusters × both fairness models and runs the
-// identical seeded MOON workload (MOON speculator, indexed scheduler,
-// 2 maps/node + n/2 reduces, scripted availability churn — the same shape
+// identical seeded MOON workload (MOON speculator, 2 maps/node + n/2
+// reduces, scripted availability churn — the same shape
 // whose 1024-node total_wall_ms motivated this work in
 // BENCH_sched_hotpath.json) under two settle-scheduling arms:
 //
@@ -86,7 +86,7 @@ ArmResult run_arm(int nodes, sim::FairnessModel fairness,
   mapred::SchedulerConfig sched;
   sched.tracker_expiry = 30 * sim::kMinute;
   sched.suspension_interval = 30 * sim::kSecond;
-  sched.moon_scheduling = true;  // MOON speculator; index_mode stays kIndexed
+  sched.moon_scheduling = true;  // MOON speculator
 
   sim::Simulation simu(7);
   cluster::Cluster cluster(simu, fairness, sim::SolverMode::kIncremental,

@@ -7,6 +7,7 @@
 
 #include "common/log.hpp"
 #include "mapred/task.hpp"
+#include "mapred/tasktracker.hpp"
 #include "simkit/profiler.hpp"
 
 namespace moon::audit {
@@ -182,6 +183,33 @@ void Auditor::check_mapred(std::vector<Violation>& out) {
                      job_str(*job) + " live-attempt counter " +
                          std::to_string(job->live_attempts()) +
                          " != per-task sum " + std::to_string(live_total)});
+    }
+    // Scheduler indices against their scan rebuild: an exact allocation-free
+    // test, and the report walk only when it fails (DESIGN.md §13).
+    if (!job->check_indices(nullptr)) {
+      std::vector<std::string> details;
+      (void)job->check_indices(&details);
+      for (std::string& d : details) {
+        out.push_back({"mapred.sched-index", job_str(*job) + " " + d});
+      }
+    }
+  }
+  // The JobTracker's live-slot aggregates against a recount.
+  for (mapred::TaskType type :
+       {mapred::TaskType::kMap, mapred::TaskType::kReduce}) {
+    int recount = 0;
+    for (mapred::TaskTracker* t : jobtracker_->trackers()) {
+      if (jobtracker_->tracker_state(t->node_id()) == TrackerState::kLive) {
+        recount += type == mapred::TaskType::kMap ? t->map_slots()
+                                                  : t->reduce_slots();
+      }
+    }
+    const int kept = jobtracker_->total_slots(type);
+    if (kept != recount) {
+      out.push_back({"mapred.sched-index",
+                     std::string("jobtracker live ") + mapred::to_string(type) +
+                         " slots " + std::to_string(kept) + " != recount " +
+                         std::to_string(recount)});
     }
   }
 }

@@ -16,6 +16,11 @@
 //                             per-job live-attempt counter is conserved,
 //                             and no live attempt runs on a tracker the
 //                             JobTracker has declared dead.
+//   mapred.sched-index        Every unfinished job's scheduling indices,
+//                             counters and live sets equal their rebuild
+//                             by scan (Job::check_indices), and the
+//                             JobTracker's live-slot aggregates equal a
+//                             recount over its trackers.
 //   checkpoint.segments       Committed checkpoint records reference only
 //                             blocks of their own log file, without
 //                             duplicates.
@@ -25,7 +30,8 @@
 // event during chaos sweeps and be called directly from tests. A pass that
 // finds nothing builds no report: the DFS check decides exactly, in
 // O(blocks + replicas), whether its forward report walk would find anything
-// and runs that walk only when it would (DESIGN.md §13).
+// and runs that walk only when it would; the scheduler-index check does the
+// same per job, in O(tasks + attempts + locality pairs) (DESIGN.md §13).
 #pragma once
 
 #include <cstdint>

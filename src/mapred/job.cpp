@@ -1,8 +1,10 @@
 #include "mapred/job.hpp"
 
 #include <algorithm>
-#include <ostream>
+#include <bit>
 #include <cassert>
+#include <ostream>
+#include <sstream>
 #include <stdexcept>
 
 #include "common/log.hpp"
@@ -14,9 +16,7 @@ namespace moon::mapred {
 Job::Job(JobTracker& jobtracker, JobId id, JobSpec spec)
     : jobtracker_(jobtracker),
       id_(id),
-      spec_(std::move(spec)),
-      use_index_(jobtracker.config().index_mode ==
-                 SchedulerConfig::IndexMode::kIndexed) {
+      spec_(std::move(spec)) {
   build_tasks();
 }
 
@@ -34,6 +34,7 @@ void Job::build_tasks() {
     t.index = i;
     t.input_block = input.blocks[static_cast<std::size_t>(i)];
     t.schedule_order = order++;
+    map_of_input_.emplace(t.input_block, id);
     tasks_.emplace(id, std::move(t));
     map_tasks_.push_back(id);
     order_to_task_.push_back(id);
@@ -86,7 +87,6 @@ void Job::pending_insert(Task& t) {
   if (t.type != TaskType::kMap) return;
   const auto& nn = jobtracker_.dfs().namenode();
   if (!nn.block_exists(t.input_block)) return;
-  block_to_pending_map_[t.input_block] = t.id;
   for (NodeId n : nn.block(t.input_block).replicas) {
     pending_local_[n].insert(key);
   }
@@ -96,7 +96,6 @@ void Job::pending_remove(Task& t) {
   const PendingKey key = pending_key(t);
   pending_[type_index(t.type)].erase(key);
   if (t.type != TaskType::kMap) return;
-  block_to_pending_map_.erase(t.input_block);
   const auto& nn = jobtracker_.dfs().namenode();
   if (!nn.block_exists(t.input_block)) return;
   for (NodeId n : nn.block(t.input_block).replicas) {
@@ -106,9 +105,11 @@ void Job::pending_remove(Task& t) {
 }
 
 void Job::on_replica_event(BlockId block, NodeId node, bool added) {
-  auto it = block_to_pending_map_.find(block);
-  if (it == block_to_pending_map_.end()) return;  // not a pending map's input
-  const PendingKey key = pending_key(task(it->second));
+  auto it = map_of_input_.find(block);
+  if (it == map_of_input_.end()) return;  // not a map's input
+  const Task& t = task(it->second);
+  if (t.state != TaskState::kPending) return;  // buckets hold pending maps only
+  const PendingKey key = pending_key(t);
   if (added) {
     pending_local_[node].insert(key);
   } else {
@@ -132,52 +133,12 @@ std::size_t Job::locality_bucket_size(NodeId node) const {
 
 std::optional<TaskId> Job::pick_pending(TaskType type,
                                         TaskTracker& tracker) const {
-  return use_index_ ? pick_pending_indexed(type, tracker)
-                    : pick_pending_scan(type, tracker);
-}
-
-std::optional<TaskId> Job::pick_pending_scan(TaskType type,
-                                             TaskTracker& tracker) const {
   // "The JobTracker first tries to schedule a non-running task, giving high
   // priority to the recently failed tasks"; map input locality preferred.
-  const auto& nn = jobtracker_.dfs().namenode();
-  TaskId best = TaskId::invalid();
-  // Rank: (failures > 0, locality, schedule order).
-  int best_key_failed = -1;
-  int best_key_local = -1;
-  int best_key_order = 0;
-  for (TaskId id : tasks_of(type)) {
-    const Task& t = task(id);
-    if (t.state != TaskState::kPending) continue;
-    const int failed = t.failures > 0 ? 1 : 0;
-    int local = 0;
-    if (type == TaskType::kMap && nn.block_exists(t.input_block) &&
-        nn.block(t.input_block).has_replica_on(tracker.node_id())) {
-      local = 1;
-    }
-    const bool better =
-        !best.valid() || failed > best_key_failed ||
-        (failed == best_key_failed && local > best_key_local) ||
-        (failed == best_key_failed && local == best_key_local &&
-         t.schedule_order < best_key_order);
-    if (better) {
-      best = id;
-      best_key_failed = failed;
-      best_key_local = local;
-      best_key_order = t.schedule_order;
-    }
-  }
-  if (!best.valid()) return std::nullopt;
-  return best;
-}
-
-std::optional<TaskId> Job::pick_pending_indexed(TaskType type,
-                                                TaskTracker& tracker) const {
-  // Bucket lookups reproduce the scan ranking: the global pending set's
-  // begin() is the best (failed-class, order) candidate overall; the
-  // tracker's locality bucket begin() is the best local one. A local
-  // candidate wins its failed class; a failed non-local outranks a fresh
-  // local.
+  // Rank: (failed, local, schedule order). The global pending set's begin()
+  // is the best (failed-class, order) candidate overall; the tracker's
+  // locality bucket begin() is the best local one. A local candidate wins
+  // its failed class; a failed non-local outranks a fresh local.
   const auto& pending = pending_[type_index(type)];
   if (pending.empty()) return std::nullopt;
   const PendingKey global_best = *pending.begin();
@@ -215,25 +176,12 @@ TaskAttempt* Job::attempt(AttemptId id) {
 }
 
 int Job::remaining_tasks() const {
-  if (use_index_) {
-    return static_cast<int>(tasks_.size()) - completed_count_[0] -
-           completed_count_[1];
-  }
-  int remaining = 0;
-  // detlint: allow(unordered-iter) -- pure integer accumulation; the count is order-independent
-  for (const auto& [id, t] : tasks_) {
-    if (t.state != TaskState::kCompleted) ++remaining;
-  }
-  return remaining;
+  return static_cast<int>(tasks_.size()) - completed_count_[0] -
+         completed_count_[1];
 }
 
 int Job::completed_tasks(TaskType type) const {
-  if (use_index_) return completed_count_[type_index(type)];
-  int done = 0;
-  for (TaskId id : tasks_of(type)) {
-    if (tasks_.at(id).state == TaskState::kCompleted) ++done;
-  }
-  return done;
+  return completed_count_[type_index(type)];
 }
 
 bool Job::all_maps_done() const {
@@ -248,148 +196,68 @@ double Job::task_progress(TaskId id) const {
   const Task& t = task(id);
   if (t.state == TaskState::kCompleted) return 1.0;
   double best = 0.0;
-  if (use_index_) {
-    // max() over the same live set the scan filters down to: exact.
-    for (const TaskAttempt* a : t.live_attempts) {
-      best = std::max(best, a->progress());
-    }
-    return best;
-  }
-  for (AttemptId a : t.attempts) {
-    auto it = attempts_.find(a);
-    if (it != attempts_.end() && !it->second->terminal()) {
-      best = std::max(best, it->second->progress());
-    }
+  for (const TaskAttempt* a : t.live_attempts) {
+    best = std::max(best, a->progress());
   }
   return best;
 }
 
 double Job::average_progress(TaskType type) const {
-  // Canonical form shared by both modes so the doubles match bit for bit:
-  // completed tasks contribute an exact integer, running-task fractions are
+  const int ti = type_index(type);
+  AverageCache& cache = average_cache_[ti];
+  const sim::Time now = jobtracker_.simulation().now();
+  if (cache.valid && cache.time == now && cache.epoch == sched_epoch_) {
+    return cache.value;
+  }
+  const double value = recompute_average(ti);
+  cache = AverageCache{true, now, sched_epoch_, value};
+  return value;
+}
+
+double Job::recompute_average(int ti) const {
+  // Completed tasks contribute an exact integer, running-task fractions are
   // summed in schedule order, started-but-frozen pending tasks contribute
   // 0.0 (they only widen the denominator).
-  int completed = 0;
-  int counted = 0;
   double fractions = 0.0;
-  if (use_index_) {
-    const int ti = type_index(type);
-    AverageCache& cache = average_cache_[ti];
-    const sim::Time now = jobtracker_.simulation().now();
-    if (cache.valid && cache.time == now && cache.epoch == sched_epoch_) {
-      return cache.value;
-    }
-    completed = completed_count_[ti];
-    counted = ever_started_[ti];
-    for (const int order : running_[ti]) {
-      fractions +=
-          task_progress(order_to_task_[static_cast<std::size_t>(order)]);
-    }
-    const double value =
-        counted == 0 ? 0.0
-                     : (static_cast<double>(completed) + fractions) / counted;
-    cache = AverageCache{true, now, sched_epoch_, value};
-    return value;
+  for (const int order : running_[ti]) {
+    fractions += task_progress(order_to_task_[static_cast<std::size_t>(order)]);
   }
-  {
-    for (TaskId id : tasks_of(type)) {
-      const Task& t = task(id);
-      if (t.state == TaskState::kPending && t.attempts.empty()) continue;
-      ++counted;
-      if (t.state == TaskState::kCompleted) {
-        ++completed;
-      } else if (t.state == TaskState::kRunning) {
-        fractions += task_progress(id);
-      }
-    }
-  }
+  const int counted = ever_started_[ti];
   if (counted == 0) return 0.0;
-  return (static_cast<double>(completed) + fractions) / counted;
+  return (static_cast<double>(completed_count_[ti]) + fractions) / counted;
 }
 
 int Job::non_terminal_attempts(TaskId id) const {
-  const Task& t = task(id);
-  if (use_index_) return static_cast<int>(t.live_attempts.size());
-  int n = 0;
-  for (AttemptId a : t.attempts) {
-    auto it = attempts_.find(a);
-    if (it != attempts_.end() && !it->second->terminal()) ++n;
-  }
-  return n;
+  return static_cast<int>(task(id).live_attempts.size());
 }
 
 int Job::active_attempts(TaskId id) const {
-  const Task& t = task(id);
   int n = 0;
-  if (use_index_) {
-    for (const TaskAttempt* a : t.live_attempts) {
-      if (a->state() == AttemptState::kRunning) ++n;
-    }
-    return n;
-  }
-  for (AttemptId a : t.attempts) {
-    auto it = attempts_.find(a);
-    if (it != attempts_.end() &&
-        it->second->state() == AttemptState::kRunning) {
-      ++n;
-    }
+  for (const TaskAttempt* a : task(id).live_attempts) {
+    if (a->state() == AttemptState::kRunning) ++n;
   }
   return n;
 }
 
 bool Job::has_attempt_on(TaskId id, NodeId node) const {
-  const Task& t = task(id);
-  if (use_index_) {
-    for (const TaskAttempt* a : t.live_attempts) {
-      if (a->tracker().node_id() == node) return true;
-    }
-    return false;
-  }
-  for (AttemptId a : t.attempts) {
-    auto it = attempts_.find(a);
-    if (it != attempts_.end() && !it->second->terminal() &&
-        it->second->tracker().node_id() == node) {
-      return true;
-    }
+  for (const TaskAttempt* a : task(id).live_attempts) {
+    if (a->tracker().node_id() == node) return true;
   }
   return false;
 }
 
 bool Job::has_active_dedicated_attempt(TaskId id) const {
-  const Task& t = task(id);
-  if (use_index_) {
-    for (const TaskAttempt* a : t.live_attempts) {
-      if (a->state() == AttemptState::kRunning && a->on_dedicated()) return true;
-    }
-    return false;
-  }
-  for (AttemptId a : t.attempts) {
-    auto it = attempts_.find(a);
-    if (it != attempts_.end() &&
-        it->second->state() == AttemptState::kRunning &&
-        it->second->on_dedicated()) {
-      return true;
-    }
+  for (const TaskAttempt* a : task(id).live_attempts) {
+    if (a->state() == AttemptState::kRunning && a->on_dedicated()) return true;
   }
   return false;
 }
 
 std::optional<sim::Time> Job::oldest_attempt_start(TaskId id) const {
-  const Task& t = task(id);
   std::optional<sim::Time> oldest;
-  if (use_index_) {
-    for (const TaskAttempt* a : t.live_attempts) {
-      const sim::Time s = a->started_at();
-      if (!oldest || s < *oldest) oldest = s;
-    }
-    return oldest;
-  }
-  for (AttemptId a : t.attempts) {
-    auto it = attempts_.find(a);
-    if (it != attempts_.end() && !it->second->terminal()) {
-      const sim::Time s = it->second->started_at();
-      if (!oldest || s < *oldest) oldest = s;
-    }
+  for (const TaskAttempt* a : task(id).live_attempts) {
+    const sim::Time s = a->started_at();
+    if (!oldest || s < *oldest) oldest = s;
   }
   return oldest;
 }
@@ -399,38 +267,192 @@ int Job::running_speculative() const {
   // attempts marooned on suspended trackers don't hold back the cap, or a
   // burst of suspensions would starve frozen-task rescue precisely when it
   // is needed.
-  if (use_index_) return running_speculative_count_;
-  int n = 0;
-  // detlint: allow(unordered-iter) -- pure integer accumulation; the count is order-independent
-  for (const auto& [id, attempt] : attempts_) {
-    if (attempt->state() == AttemptState::kRunning && attempt->speculative()) ++n;
-  }
-  return n;
+  return running_speculative_count_;
 }
 
 bool Job::checkpoint_shielded(TaskId id) const {
   const auto& policy = jobtracker_.checkpoint_policy();
   if (!policy.config().enabled) return false;
-  const Task& t = task(id);
-  if (use_index_) {
-    for (const TaskAttempt* a : t.live_attempts) {
-      if (a->state() == AttemptState::kRunning && a->resumed() &&
-          policy.shields_speculation(a->progress())) {
-        return true;
-      }
-    }
-    return false;
-  }
-  for (AttemptId a : t.attempts) {
-    auto it = attempts_.find(a);
-    if (it == attempts_.end()) continue;
-    const TaskAttempt& attempt = *it->second;
-    if (attempt.state() == AttemptState::kRunning && attempt.resumed() &&
-        policy.shields_speculation(attempt.progress())) {
+  for (const TaskAttempt* a : task(id).live_attempts) {
+    if (a->state() == AttemptState::kRunning && a->resumed() &&
+        policy.shields_speculation(a->progress())) {
       return true;
     }
   }
   return false;
+}
+
+// ---- index self-check ------------------------------------------------------
+
+bool Job::check_indices(std::vector<std::string>* report) const {
+  // Forward: every fact the scan derives is in its index. Reverse: no index
+  // entry is anything else. Keys are distinct on both sides (schedule
+  // orders, attempt ids), so once the forward direction holds, equal sizes
+  // prove the reverse one; only a report walks it.
+  const auto& nn = jobtracker_.dfs().namenode();
+  bool clean = true;
+  const auto flag = [&](const auto& message) {
+    clean = false;
+    if (report != nullptr) report->push_back(message());
+  };
+  const auto task_at = [this](int order) -> const Task& {
+    return tasks_.at(order_to_task_[static_cast<std::size_t>(order)]);
+  };
+  const auto task_str = [](TaskId id) {
+    return "task " + std::to_string(id.value());
+  };
+  const auto key_str = [](const PendingKey& key) {
+    return "(class " + std::to_string(key.first) + ", order " +
+           std::to_string(key.second) + ")";
+  };
+  const auto counter = [&](std::string_view scope, const char* what,
+                           std::int64_t kept, std::int64_t recount) {
+    if (kept == recount) return;
+    flag([&] {
+      return std::string(scope) + what + " counter " + std::to_string(kept) +
+             " != recount " + std::to_string(recount);
+    });
+  };
+  std::size_t local_pairs = 0;  // distinct (node, key) pairs the scan finds
+  for (int ti = 0; ti < 2; ++ti) {
+    const TaskType type = ti == 0 ? TaskType::kMap : TaskType::kReduce;
+    const std::string_view type_name = to_string(type);
+    const auto in_type = [&](const char* what) {
+      return std::string(type_name) + " " + what;
+    };
+    std::size_t pending = 0;
+    std::size_t running = 0;
+    int completed = 0;
+    int started = 0;
+    for (TaskId id : tasks_of(type)) {
+      const Task& t = tasks_.at(id);
+      const auto& live = t.live_attempts;
+      if (!t.attempts.empty()) ++started;
+      std::size_t live_count = 0;
+      for (AttemptId a : t.attempts) {
+        auto it = attempts_.find(a);
+        if (it == attempts_.end() || it->second->terminal()) continue;
+        ++live_count;
+        if (std::find(live.begin(), live.end(), it->second.get()) ==
+            live.end()) {
+          flag([&] {
+            return task_str(id) + " live set lacks attempt " +
+                   std::to_string(a.value());
+          });
+        }
+      }
+      if (report == nullptr && live_count != live.size()) clean = false;
+      for (auto it = live.begin(); report != nullptr && it != live.end();
+           ++it) {
+        const TaskAttempt* a = *it;
+        if (&a->job() != this || a->task() != id || a->terminal() ||
+            std::find(live.begin(), it, a) != it) {
+          flag([&] {
+            return task_str(id) + " live set holds attempt " +
+                   std::to_string(a->id().value()) +
+                   " that is not live in its attempt list";
+          });
+        }
+      }
+      const PendingKey key = pending_key(t);
+      if (t.state == TaskState::kCompleted) ++completed;
+      if (t.state == TaskState::kRunning) {
+        ++running;
+        if (!running_[ti].contains(t.schedule_order)) {
+          flag([&] { return in_type("running index lacks ") + task_str(id); });
+        }
+      }
+      if (t.state != TaskState::kPending) continue;
+      ++pending;
+      if (!pending_[ti].contains(key)) {
+        flag([&] {
+          return in_type("pending index lacks ") + task_str(id) + " " +
+                 key_str(key);
+        });
+      }
+      if (type != TaskType::kMap || !nn.block_exists(t.input_block)) continue;
+      const auto& replicas = nn.block(t.input_block).replicas;
+      for (auto n = replicas.begin(); n != replicas.end(); ++n) {
+        if (std::find(replicas.begin(), n, *n) != n) continue;
+        ++local_pairs;
+        const auto bucket = pending_local_.find(*n);
+        if (bucket == pending_local_.end() || !bucket->second.contains(key)) {
+          flag([&] {
+            return "locality bucket of node " + std::to_string(n->value()) +
+                   " lacks " + task_str(id) + " " + key_str(key);
+          });
+        }
+      }
+    }
+    if (report == nullptr) {
+      clean = clean && pending == pending_[ti].size() &&
+              running == running_[ti].size();
+    } else {
+      for (const PendingKey& key : pending_[ti]) {
+        const Task& t = task_at(key.second);
+        if (t.type != type || t.state != TaskState::kPending ||
+            pending_key(t) != key) {
+          flag([&] {
+            return in_type("pending index holds stale entry ") + key_str(key);
+          });
+        }
+      }
+      for (const int order : running_[ti]) {
+        const Task& t = task_at(order);
+        if (t.type != type || t.state != TaskState::kRunning) {
+          flag([&] {
+            return in_type("running index holds stale order ") +
+                   std::to_string(order);
+          });
+        }
+      }
+    }
+    counter(type_name, " completed", completed_count_[ti], completed);
+    counter(type_name, " ever-started", ever_started_[ti], started);
+    // A memo valid at this (time, epoch) must still hold: a discrete change
+    // that forgot its epoch bump shows up here.
+    const AverageCache& cache = average_cache_[ti];
+    if (cache.valid && cache.time == jobtracker_.simulation().now() &&
+        cache.epoch == sched_epoch_ &&
+        std::bit_cast<std::uint64_t>(cache.value) !=
+            std::bit_cast<std::uint64_t>(recompute_average(ti))) {
+      flag([&] {
+        std::ostringstream os;
+        os << std::hexfloat << cache.value << " != recomputed "
+           << recompute_average(ti);
+        return in_type("average-progress memo ") + os.str();
+      });
+    }
+  }
+  int speculative = 0;
+  // detlint: allow(unordered-iter) -- pure integer accumulation; the count is order-independent
+  for (const auto& [aid, a] : attempts_) {
+    if (a->state() == AttemptState::kRunning && a->speculative()) ++speculative;
+  }
+  counter("", "running-speculative", running_speculative_count_, speculative);
+  if (report == nullptr) {
+    std::size_t bucket_pairs = 0;
+    // detlint: allow(unordered-iter) -- pure size accumulation; the sum is order-independent
+    for (const auto& [node, bucket] : pending_local_) {
+      bucket_pairs += bucket.size();
+    }
+    return clean && bucket_pairs == local_pairs;
+  }
+  // detlint: allow(unordered-iter) -- each stale entry appends one message; the report is unordered by contract and Auditor::run sorts it
+  for (const auto& [node, bucket] : pending_local_) {
+    for (const PendingKey& key : bucket) {
+      const Task& t = task_at(key.second);
+      if (t.type != TaskType::kMap || t.state != TaskState::kPending ||
+          pending_key(t) != key || !nn.block_exists(t.input_block) ||
+          !nn.block(t.input_block).has_replica_on(node)) {
+        flag([&] {
+          return "locality bucket of node " + std::to_string(node.value()) +
+                 " holds stale entry " + key_str(key);
+        });
+      }
+    }
+  }
+  return clean;
 }
 
 // ---- lifecycle -------------------------------------------------------------
@@ -526,8 +548,10 @@ void Job::kill_attempt(TaskAttempt& attempt) {
 }
 
 void Job::kill_attempts_on(TaskTracker& tracker) {
+  // The tracker hosts every job's attempts; each unfinished job gets its own
+  // tracker-death call and kills only its own.
   for (TaskAttempt* attempt : tracker.all_attempts()) {
-    kill_attempt(*attempt);
+    if (&attempt->job() == this) kill_attempt(*attempt);
   }
 }
 
@@ -696,10 +720,7 @@ void Job::report_fetch_failure(TaskId map_task, TaskAttempt& reporter) {
   }
 
   // Classic Hadoop rule: > fraction of running reduces reporting.
-  int running_reduces = 0;
-  for (TaskId r : reduce_tasks_) {
-    if (tasks_.at(r).state == TaskState::kRunning) ++running_reduces;
-  }
+  const auto running_reduces = static_cast<int>(running_[1].size());
   if (running_reduces > 0 &&
       static_cast<double>(reporters.size()) >
           cfg.fetch_failure_fraction * running_reduces) {

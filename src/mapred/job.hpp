@@ -79,25 +79,17 @@ class Job {
   // ---- scheduling indices (hot path) --------------------------------------
   /// The non-running task the Hadoop ranking — failed tasks first, then map
   /// input locality on `tracker`, then original schedule order — selects;
-  /// nullopt when nothing is pending. kIndexed answers from the pending /
-  /// locality buckets in O(log n); kScan replays the original full scan.
+  /// nullopt when nothing is pending. Answered from the pending / locality
+  /// buckets in O(log n).
   [[nodiscard]] std::optional<TaskId> pick_pending(TaskType type,
                                                    TaskTracker& tracker) const;
 
   /// Invokes `fn(TaskId)` on every TaskState::kRunning task of `type` in
-  /// schedule order; `fn` returns false to stop early. Index-backed under
-  /// kIndexed, a filtered scan under kScan — identical visit sequences.
+  /// schedule order; `fn` returns false to stop early.
   template <typename Fn>
   void for_each_running(TaskType type, Fn&& fn) const {
-    if (use_index_) {
-      for (const int order : running_[type_index(type)]) {
-        if (!fn(order_to_task_[static_cast<std::size_t>(order)])) return;
-      }
-    } else {
-      for (TaskId id : tasks_of(type)) {
-        if (task(id).state != TaskState::kRunning) continue;
-        if (!fn(id)) return;
-      }
+    for (const int order : running_[type_index(type)]) {
+      if (!fn(order_to_task_[static_cast<std::size_t>(order)])) return;
     }
   }
 
@@ -109,9 +101,6 @@ class Job {
   /// counter the speculation caps read).
   void note_attempt_state(TaskAttempt& attempt, AttemptState prev,
                           AttemptState next);
-
-  /// True when this job runs the kIndexed hot path (latched at submit).
-  [[nodiscard]] bool indexed() const { return use_index_; }
 
   /// Order-of-magnitude estimate of this Job's heap footprint (task table,
   /// attempt objects, scheduling indices) — the quantity retired-job GC
@@ -138,6 +127,13 @@ class Job {
     return running_[type_index(type)].size();
   }
 
+  /// Index self-check (audit::Auditor, DESIGN.md §13): true when every
+  /// scheduling index, counter, live-attempt set and fresh memo equals its
+  /// rebuild by scan over the task/attempt tables and the NameNode. With
+  /// `report` null it is the exact, allocation-free clean-pass test;
+  /// otherwise it appends one message per discrepancy, in no set order.
+  [[nodiscard]] bool check_indices(std::vector<std::string>* report) const;
+
   // ---- lifecycle ---------------------------------------------------------
   void submit();
   [[nodiscard]] bool finished() const { return metrics_.completed || metrics_.failed; }
@@ -147,7 +143,7 @@ class Job {
 
   /// Kills one attempt (bookkeeping + slot release + file cleanup).
   void kill_attempt(TaskAttempt& attempt);
-  /// Kills every attempt hosted by `tracker` (tracker declared dead).
+  /// Kills this job's attempts hosted by `tracker` (tracker declared dead).
   void kill_attempts_on(TaskTracker& tracker);
 
   /// Full tracker-death handling: kill attempts, then re-execute completed
@@ -209,10 +205,8 @@ class Job {
   void pending_remove(Task& t);
   void finalize_attempt(TaskAttempt& attempt);
   void notify_reduces_of_map(TaskId map_task);
-  [[nodiscard]] std::optional<TaskId> pick_pending_scan(
-      TaskType type, TaskTracker& tracker) const;
-  [[nodiscard]] std::optional<TaskId> pick_pending_indexed(
-      TaskType type, TaskTracker& tracker) const;
+  /// average_progress's value, bypassing the memo.
+  [[nodiscard]] double recompute_average(int ti) const;
   [[nodiscard]] static int type_index(TaskType type) {
     return type == TaskType::kMap ? 0 : 1;
   }
@@ -225,7 +219,6 @@ class Job {
   JobSpec spec_;
   JobMetrics metrics_;
   obs::Tracer::SpanId span_;  ///< submit→finish span on the job-wide track
-  const bool use_index_;  ///< SchedulerConfig::index_mode, latched at birth
 
   std::unordered_map<TaskId, Task> tasks_;
   std::vector<TaskId> map_tasks_;
@@ -241,16 +234,16 @@ class Job {
   /// Pending *map* tasks with an input replica on the node — the locality
   /// join, fed by NameNode replica events + pending transitions.
   std::unordered_map<NodeId, std::set<PendingKey>> pending_local_;
-  /// Input block -> pending map task (locality-event routing).
-  std::unordered_map<BlockId, TaskId> block_to_pending_map_;
+  /// Input block -> map task (locality-event routing; fixed at build).
+  std::unordered_map<BlockId, TaskId> map_of_input_;
   int completed_count_[2] = {0, 0};     ///< per-type completed tasks
   int ever_started_[2] = {0, 0};        ///< tasks that ever launched an attempt
   int running_speculative_count_ = 0;   ///< attempts running && speculative
   int live_attempt_count_ = 0;          ///< non-terminal attempts, all tasks
   std::uint64_t sched_epoch_ = 0;       ///< discrete-state stamp (see getter)
 
-  /// Memo for average_progress under kIndexed: constant within one
-  /// (time, epoch) pair, so a same-tick heartbeat burst pays once.
+  /// Memo for average_progress: constant within one (time, epoch) pair, so
+  /// a same-tick heartbeat burst pays once.
   struct AverageCache {
     bool valid = false;
     sim::Time time = 0;

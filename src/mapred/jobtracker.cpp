@@ -443,8 +443,8 @@ void JobTracker::assign_work(TaskTracker& tracker) {
   // policy ranks the unfinished jobs (kFifo keeps submission order, so a
   // single-job run is unchanged); within a job, maps get priority when both
   // slot types are open (they gate the reducers' shuffle). Pending picks are
-  // bucket lookups on the job's indices (kIndexed) or the original scan
-  // (kScan); speculative picks enumerate only running tasks.
+  // bucket lookups on the job's indices; speculative picks enumerate only
+  // running tasks.
   assign_order_.clear();
   for (Job* job : jobs_by_order_) {
     if (!job->finished()) assign_order_.push_back(job);
@@ -477,31 +477,6 @@ TrackerState JobTracker::tracker_state(NodeId node) const {
   auto it = tracker_info_.find(node);
   if (it == tracker_info_.end()) throw std::out_of_range("JobTracker: unknown tracker");
   return it->second.state;
-}
-
-int JobTracker::available_execution_slots() const {
-  if (config_.index_mode == SchedulerConfig::IndexMode::kIndexed) {
-    return live_map_slots_ + live_reduce_slots_;
-  }
-  int slots = 0;
-  for (const auto& [node, info] : tracker_info_) {
-    if (info.state != TrackerState::kLive) continue;
-    slots += info.tracker->map_slots() + info.tracker->reduce_slots();
-  }
-  return slots;
-}
-
-int JobTracker::total_slots(TaskType type) const {
-  if (config_.index_mode == SchedulerConfig::IndexMode::kIndexed) {
-    return type == TaskType::kMap ? live_map_slots_ : live_reduce_slots_;
-  }
-  int slots = 0;
-  for (const auto& [node, info] : tracker_info_) {
-    if (info.state != TrackerState::kLive) continue;
-    slots += type == TaskType::kMap ? info.tracker->map_slots()
-                                    : info.tracker->reduce_slots();
-  }
-  return slots;
 }
 
 }  // namespace moon::mapred

@@ -130,8 +130,12 @@ class JobTracker {
   [[nodiscard]] TrackerState tracker_state(NodeId node) const;
   /// Total execution slots (map + reduce) on live trackers — the paper's
   /// "currently available execution slots".
-  [[nodiscard]] int available_execution_slots() const;
-  [[nodiscard]] int total_slots(TaskType type) const;
+  [[nodiscard]] int available_execution_slots() const {
+    return live_map_slots_ + live_reduce_slots_;
+  }
+  [[nodiscard]] int total_slots(TaskType type) const {
+    return type == TaskType::kMap ? live_map_slots_ : live_reduce_slots_;
+  }
 
   /// Wall-clock nanoseconds spent making heartbeat assignment decisions
   /// (pending picks + speculation) — the measured "scheduling time" axis of
@@ -216,14 +220,14 @@ class JobTracker {
   std::unordered_map<JobId, std::unique_ptr<Job>> jobs_;
   /// Submission-order view of jobs_: the heartbeat loop and completion scan
   /// iterate this instead of the unordered map, so multi-job assignment
-  /// order is deterministic (and index/scan modes stay in lockstep).
+  /// order is deterministic.
   std::vector<Job*> jobs_by_order_;
   /// Scratch for assign_work: unfinished jobs in the order the configured
   /// JobSchedulingPolicy wants them offered the heartbeat's slot.
   std::vector<Job*> assign_order_;
   IdAllocator<JobId> job_ids_;
   /// Live-tracker slot aggregates, updated on tracker add and every state
-  /// transition (kIndexed reads these; kScan recounts).
+  /// transition (audit::Auditor checks them against a recount).
   int live_map_slots_ = 0;
   int live_reduce_slots_ = 0;
   int live_jobs_ = 0;  ///< unfinished jobs in the table (admission queue depth)

@@ -50,32 +50,22 @@ std::optional<TaskId> HadoopSpeculator::pick(Job& job, TaskType type,
   // originally scheduled, except that for Map stragglers, priority will be
   // given to the ones with input data local to the requesting TaskTracker."
   //
-  // Straggler status is tracker-independent, so under kIndexed the
-  // enumeration is memoized per tick and only the per-tracker filters
-  // (placement, locality) run per heartbeat. kScan re-enumerates every call.
+  // Straggler status is tracker-independent, so the enumeration is memoized
+  // per tick and only the per-tracker filters (placement, locality) run per
+  // heartbeat.
   const auto& nn = jobtracker_.dfs().namenode();
   const sim::Time now = jobtracker_.simulation().now();
-  std::vector<TaskId> scan_stragglers;
-  const std::vector<TaskId>* stragglers = &scan_stragglers;
-  if (job.indexed()) {
-    Memo& memo = memo_[type_slot(type)][job.id()];
-    if (!fresh(memo.key, job, now, job.sched_epoch())) {
-      memo.stragglers.clear();
-      job.for_each_running(type, [&](TaskId id) {
-        if (is_straggler(job, id, average)) memo.stragglers.push_back(id);
-        return true;
-      });
-      stamp(memo.key, job, now, job.sched_epoch());
-    }
-    stragglers = &memo.stragglers;
-  } else {
+  Memo& memo = memo_[type_slot(type)][job.id()];
+  if (!fresh(memo.key, job, now, job.sched_epoch())) {
+    memo.stragglers.clear();
     job.for_each_running(type, [&](TaskId id) {
-      if (is_straggler(job, id, average)) scan_stragglers.push_back(id);
+      if (is_straggler(job, id, average)) memo.stragglers.push_back(id);
       return true;
     });
+    stamp(memo.key, job, now, job.sched_epoch());
   }
   const auto try_pass = [&](bool require_local) -> std::optional<TaskId> {
-    for (TaskId id : *stragglers) {
+    for (TaskId id : memo.stragglers) {
       if (job.has_attempt_on(id, tracker.node_id())) continue;
       if (require_local) {
         const Task& t = job.task(id);
@@ -122,56 +112,42 @@ std::optional<TaskId> LateSpeculator::pick(Job& job, TaskType type,
   if (job.running_speculative() >= cap) return std::nullopt;
 
   // Collect running candidates and their progress rates. Rates and every
-  // tracker-independent filter are memoized per tick under kIndexed; the
-  // placement filter below runs per pick.
+  // tracker-independent filter are memoized per tick; the placement filter
+  // below runs per pick.
   using Candidate = Memo::Candidate;
-  const auto enumerate = [&](std::vector<double>& rates,
-                             std::vector<Candidate>& candidates) {
+  Memo& memo = memo_[type_slot(type)][job.id()];
+  const sim::Time now = jobtracker_.simulation().now();
+  if (!fresh(memo.key, job, now, job.sched_epoch())) {
+    memo.rates.clear();
+    memo.candidates.clear();
     job.for_each_running(type, [&](TaskId id) {
-      rates.push_back(progress_rate(job, id));
+      memo.rates.push_back(progress_rate(job, id));
       if (job.non_terminal_attempts(id) >= 1 + cfg.per_task_speculative_cap) {
         return true;
       }
       if (job.checkpoint_shielded(id)) return true;
       const auto started = job.oldest_attempt_start(id);
-      if (!started || jobtracker_.simulation().now() - *started <
-                          cfg.min_age_for_speculation) {
+      if (!started || now - *started < cfg.min_age_for_speculation) {
         return true;
       }
-      candidates.push_back(
-          Candidate{id, rates.back(), estimated_time_left(job, id)});
+      memo.candidates.push_back(
+          Candidate{id, memo.rates.back(), estimated_time_left(job, id)});
       return true;
     });
-  };
-  std::vector<double> scan_rates;
-  std::vector<Candidate> scan_candidates;
-  const std::vector<double>* rates = &scan_rates;
-  const std::vector<Candidate>* pool = &scan_candidates;
-  if (job.indexed()) {
-    Memo& memo = memo_[type_slot(type)][job.id()];
-    const sim::Time now = jobtracker_.simulation().now();
-    if (!fresh(memo.key, job, now, job.sched_epoch())) {
-      memo.rates.clear();
-      memo.candidates.clear();
-      enumerate(memo.rates, memo.candidates);
-      stamp(memo.key, job, now, job.sched_epoch());
-    }
-    rates = &memo.rates;
-    pool = &memo.candidates;
-  } else {
-    enumerate(scan_rates, scan_candidates);
+    stamp(memo.key, job, now, job.sched_epoch());
   }
-  if (pool->empty() || rates->empty()) return std::nullopt;
+  if (memo.candidates.empty() || memo.rates.empty()) return std::nullopt;
 
   std::vector<Candidate> candidates;
-  candidates.reserve(pool->size());
-  for (const Candidate& c : *pool) {
+  candidates.reserve(memo.candidates.size());
+  for (const Candidate& c : memo.candidates) {
     if (!job.has_attempt_on(c.id, tracker.node_id())) candidates.push_back(c);
   }
   if (candidates.empty()) return std::nullopt;
 
   // SlowTaskThreshold: only tasks below the rate percentile qualify.
-  const double threshold = percentile(*rates, cfg.late_slow_task_percentile);
+  const double threshold =
+      percentile(memo.rates, cfg.late_slow_task_percentile);
   std::erase_if(candidates,
                 [threshold](const Candidate& c) { return c.rate > threshold; });
   if (candidates.empty()) return std::nullopt;
@@ -190,11 +166,6 @@ template <typename Enumerate>
 std::vector<TaskId> MoonSpeculator::memoized_list(Job& job, ListMemo& memo,
                                                   Enumerate&& enumerate,
                                                   int slots) {
-  if (!job.indexed()) {
-    std::vector<TaskId> out;
-    enumerate(out);
-    return out;
-  }
   const sim::Time now = jobtracker_.simulation().now();
   if (!fresh(memo.key, job, now, job.sched_epoch(), slots)) {
     memo.list.clear();

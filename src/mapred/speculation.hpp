@@ -42,13 +42,13 @@ class SpeculationPolicy {
   /// (job, sim tick, sched-epoch) combination — callers keep one memo per
   /// task type so map/reduce probes within a heartbeat don't thrash each
   /// other. Heartbeat bursts land on the same tick (every tracker beats on
-  /// the same schedule), so under kIndexed the O(running) enumeration is
-  /// paid once per tick instead of once per heartbeat; only the cheap
-  /// per-tracker filters (placement, locality) run per pick. `slots`
+  /// the same schedule), so the O(running) enumeration is paid once per
+  /// tick instead of once per heartbeat; only the cheap per-tracker filters
+  /// (placement, locality) run per pick. `slots`
   /// captures any additional input the candidate predicate reads that can
   /// change without a job epoch bump (live execution slots: a tracker with
   /// no hosted attempts flipping state moves the homestretch threshold but
-  /// touches no job). kScan never consults the memo.
+  /// touches no job).
   struct MemoKey {
     bool valid = false;
     JobId job;
@@ -139,8 +139,8 @@ class MoonSpeculator final : public SpeculationPolicy {
     MemoKey key;
     std::vector<TaskId> list;  ///< schedule order, pre-tracker filters
   };
-  /// Returns the tracker-independent candidate list: enumerated fresh under
-  /// kScan, served from (and lazily rebuilt into) `memo` under kIndexed.
+  /// Returns the tracker-independent candidate list, served from (and
+  /// lazily rebuilt into) `memo`.
   /// `slots` must carry every predicate input that can change without a job
   /// epoch bump (0 when there is none).
   template <typename Enumerate>

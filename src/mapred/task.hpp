@@ -43,9 +43,9 @@ struct Task {
   std::vector<AttemptId> attempts;  ///< all attempts ever launched
 
   /// Non-terminal attempts only (maintained by the Job on launch/finalize):
-  /// the kIndexed hot path reads per-task aggregates — counts, oldest start,
-  /// best progress, placement checks — from this handful of live pointers
-  /// instead of walking every attempt ever launched.
+  /// the scheduling hot path reads per-task aggregates — counts, oldest
+  /// start, best progress, placement checks — from this handful of live
+  /// pointers instead of walking every attempt ever launched.
   std::vector<TaskAttempt*> live_attempts;
 
   /// Output of the winning map attempt (maps only; invalid until complete).
@@ -73,6 +73,7 @@ class TaskAttempt {
   void kill();
 
   [[nodiscard]] AttemptId id() const { return id_; }
+  [[nodiscard]] const Job& job() const { return job_; }
   [[nodiscard]] TaskId task() const { return task_; }
   [[nodiscard]] TaskTracker& tracker() { return tracker_; }
   [[nodiscard]] const TaskTracker& tracker() const { return tracker_; }

@@ -139,15 +139,6 @@ struct SchedulerConfig {
   /// (MOON); stock Hadoop re-runs them unconditionally.
   bool dfs_aware_recovery = false;
 
-  /// Scheduling hot-path implementation. kIndexed (default) serves each
-  /// heartbeat from maintained indices — pending buckets, locality buckets,
-  /// running sets, counter aggregates — in O(1) amortized. kScan keeps the
-  /// original full-scan path compiled in as the equivalence oracle; the two
-  /// modes are bit-identical in simulated outcomes (asserted by
-  /// tests/mapred/sched_equivalence_test.cpp).
-  enum class IndexMode { kIndexed, kScan };
-  IndexMode index_mode = IndexMode::kIndexed;
-
   /// Which speculative-execution policy drives backup copies. kMoon is
   /// implied by moon_scheduling; kLate implements Zaharia et al.'s LATE
   /// (OSDI'08), the alternative the paper's related work discusses.

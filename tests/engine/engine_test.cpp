@@ -60,7 +60,8 @@ TEST(Engine, IdentityJobSortsRecords) {
       EngineConfig{.num_map_tasks = 4, .num_reduce_tasks = 3});
   Records input;
   for (int i = 99; i >= 0; --i) {
-    input.push_back({"k" + std::to_string(1000 + i), "v" + std::to_string(i)});
+    input.push_back({std::string("k") + std::to_string(1000 + i),
+                     std::string("v") + std::to_string(i)});
   }
   const auto result = job.run(input);
   ASSERT_EQ(result.output.size(), 100u);
@@ -168,7 +169,8 @@ TEST(Engine, UserExceptionsCountAsFailures) {
 TEST(Engine, DeterministicAcrossThreadCounts) {
   std::string text;
   for (int i = 0; i < 200; ++i) {
-    text += "w" + std::to_string(i % 17) + " w" + std::to_string(i % 5) + "\n";
+    text += std::string("w") + std::to_string(i % 17) + " w" +
+            std::to_string(i % 5) + "\n";
   }
   const auto input = records_from_lines(text);
 

@@ -198,7 +198,8 @@ TEST(Admission, SequenceHashIsBitIdenticalAcrossRuns) {
     auto* adm = h.jobtracker().admission();
     std::vector<JobId> admitted;
     for (int i = 0; i < 4; ++i) {
-      adm->offer(make_spec(h, "j" + std::to_string(i), 2, /*priority=*/i),
+      adm->offer(make_spec(h, std::string("j") + std::to_string(i), 2,
+                           /*priority=*/i),
                  [&](const AdmissionController::Outcome& out) {
                    if (out.decision == AdmissionController::Decision::kAdmitted)
                      admitted.push_back(out.job);

@@ -3,10 +3,13 @@
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <tuple>
 
 #include "cluster/cluster.hpp"
 #include "dfs/dfs.hpp"
 #include "mapred/jobtracker.hpp"
+#include "mapred/tasktracker.hpp"
 #include "workload/workload.hpp"
 
 namespace moon::mapred::testing {
@@ -157,6 +160,36 @@ class MapRedHarness {
   FileId input_;
   JobId job_id_;
 };
+
+/// Reference for Job::pick_pending, by full scan over the public task table
+/// and the NameNode: "the JobTracker first tries to schedule a non-running
+/// task, giving high priority to the recently failed tasks", then map input
+/// locality on `tracker`, then original schedule order. The production pick
+/// answers from bucket indices; this ranks every pending task directly.
+inline std::optional<TaskId> scan_pick_pending(Job& job, TaskType type,
+                                               const TaskTracker& tracker) {
+  const auto& nn = job.jobtracker().dfs().namenode();
+  std::optional<TaskId> best;
+  // Rank: (failures > 0, locality, -schedule order), highest wins.
+  std::tuple<int, int, int> best_rank;
+  for (TaskId id : job.tasks_of(type)) {
+    const Task& t = job.task(id);
+    if (t.state != TaskState::kPending) continue;
+    const int local = type == TaskType::kMap &&
+                              nn.block_exists(t.input_block) &&
+                              nn.block(t.input_block)
+                                  .has_replica_on(tracker.node_id())
+                          ? 1
+                          : 0;
+    const std::tuple<int, int, int> rank{t.failures > 0 ? 1 : 0, local,
+                                         -t.schedule_order};
+    if (!best || rank > best_rank) {
+      best = id;
+      best_rank = rank;
+    }
+  }
+  return best;
+}
 
 inline SchedulerConfig hadoop_sched(sim::Duration expiry = 60 * sim::kSecond) {
   SchedulerConfig cfg;

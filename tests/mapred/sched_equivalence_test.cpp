@@ -1,21 +1,26 @@
-// Golden equivalence: the indexed scheduler hot path must reproduce the
-// retained scan-based oracle *bit for bit* — identical per-task attempt
-// launch sequences (time, host node, speculative flag), identical attempt
-// counters, and identical job completion times — for all three speculators
-// (Hadoop, LATE, MOON) plus the checkpoint-enabled MOON preset, under
-// seeded availability churn.
+// Scheduler goldens: every scheduling decision under seeded availability
+// churn must reproduce, bit for bit, the values recorded when the indexed
+// hot path still shipped next to the original full-scan scheduler (both
+// produced exactly these values) — completion flag and time, the attempt
+// counters, and an FNV-1a hash of every task's launch sequence (time, host
+// node, speculative flag). Covered: all three speculators (Hadoop, LATE,
+// MOON) plus the checkpoint-enabled MOON preset, three churn seeds each.
 //
 // The driver pre-generates one scripted churn sequence (pure data: node
-// flips with down durations), then replays it against two independent
-// harnesses that differ only in SchedulerConfig::index_mode. Any divergence
-// in a scheduling decision cascades into mismatched launch traces.
+// flips with down durations) and replays it against a harness with an
+// invariant auditor attached. The auditor sweeps at every churn flip and at
+// the end of the run — including the scheduler index-consistency check
+// (mapred.sched-index) — and must report nothing. Any divergence in a
+// scheduling decision cascades into a mismatched launch hash.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "audit/auditor.hpp"
 #include "common/rng.hpp"
 #include "experiment/scenario.hpp"
 #include "mapred_fixture.hpp"
@@ -47,16 +52,11 @@ std::vector<Flip> make_churn_script(std::uint64_t seed, std::size_t nodes,
   return script;
 }
 
-/// Everything a scheduling decision can influence, per task, in launch
-/// order. Exact-match comparable.
-struct LaunchTrace {
-  std::vector<std::tuple<sim::Time, std::uint64_t, bool>> launches;
-};
-
-struct RunTrace {
-  std::vector<LaunchTrace> per_task;
+/// Everything a scheduling decision can influence. Exact-match comparable.
+struct Golden {
   bool completed = false;
   sim::Time finished_at = 0;
+  int launches = 0;
   int speculative_attempts = 0;
   int killed_map_attempts = 0;
   int killed_reduce_attempts = 0;
@@ -64,13 +64,35 @@ struct RunTrace {
   int failed_reduce_attempts = 0;
   int map_reexecutions = 0;
   int checkpoint_resumes = 0;
+  /// FNV-1a over each task's (launch count, then per launch: start time,
+  /// host node, speculative flag), maps then reduces in schedule order.
+  std::uint64_t launch_hash = 0;
+
+  friend bool operator==(const Golden&, const Golden&) = default;
 };
 
-RunTrace run_one(SchedulerConfig sched, SchedulerConfig::IndexMode mode,
-                 std::uint64_t churn_seed) {
+void PrintTo(const Golden& g, std::ostream* os) {
+  *os << "{" << (g.completed ? "true" : "false") << ", " << g.finished_at
+      << ", " << g.launches << ", " << g.speculative_attempts << ", "
+      << g.killed_map_attempts << ", " << g.killed_reduce_attempts << ", "
+      << g.failed_map_attempts << ", " << g.failed_reduce_attempts << ", "
+      << g.map_reexecutions << ", " << g.checkpoint_resumes << ", "
+      << g.launch_hash << "ULL}";
+}
+
+constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+void fold(std::uint64_t& hash, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    hash ^= (value >> (i * 8)) & 0xff;
+    hash *= kFnvPrime;
+  }
+}
+
+Golden run_one(SchedulerConfig sched, std::uint64_t churn_seed) {
   FixtureOptions opt;
   opt.sched = sched;
-  opt.sched.index_mode = mode;
   opt.volatile_nodes = 6;
   opt.dedicated_nodes = 2;
   opt.num_maps = 12;
@@ -79,6 +101,7 @@ RunTrace run_one(SchedulerConfig sched, SchedulerConfig::IndexMode mode,
   opt.reduce_compute = 60 * sim::kSecond;
   MapRedHarness h(opt);
   h.submit();
+  audit::Auditor auditor(&h.dfs(), &h.jobtracker());
 
   const sim::Duration horizon = 20 * sim::kMinute;
   const auto script =
@@ -88,6 +111,7 @@ RunTrace run_one(SchedulerConfig sched, SchedulerConfig::IndexMode mode,
   for (const Flip& f : script) {
     if (h.job().finished()) break;
     if (h.sim().now() < f.at) h.advance(f.at - h.sim().now());
+    EXPECT_TRUE(auditor.run().empty()) << "at t=" << h.sim().now();
     const NodeId victim = h.volatile_ids[f.node_index];
     if (!h.cluster().node(victim).available()) continue;
     h.set_node_available(victim, false);
@@ -99,36 +123,41 @@ RunTrace run_one(SchedulerConfig sched, SchedulerConfig::IndexMode mode,
     });
   }
   h.run_to_completion(sim::hours(4));
+  EXPECT_TRUE(auditor.run().empty()) << "at end, t=" << h.sim().now();
+  EXPECT_EQ(auditor.violations_total(), 0);
+  EXPECT_GT(auditor.passes(), 1);
 
-  RunTrace trace;
+  Golden g;
+  g.launch_hash = kFnvBasis;
   Job& job = h.job();
   for (TaskType type : {TaskType::kMap, TaskType::kReduce}) {
     for (TaskId id : job.tasks_of(type)) {
-      LaunchTrace lt;
-      for (AttemptId a : job.task(id).attempts) {
+      const auto& attempts = job.task(id).attempts;
+      fold(g.launch_hash, attempts.size());
+      for (AttemptId a : attempts) {
         TaskAttempt* attempt = job.attempt(a);
         if (attempt == nullptr) {
           ADD_FAILURE() << "missing attempt record";
           continue;
         }
-        lt.launches.emplace_back(attempt->started_at(),
-                                 attempt->tracker().node_id().value(),
-                                 attempt->speculative());
+        ++g.launches;
+        fold(g.launch_hash, static_cast<std::uint64_t>(attempt->started_at()));
+        fold(g.launch_hash, attempt->tracker().node_id().value());
+        fold(g.launch_hash, attempt->speculative() ? 1 : 0);
       }
-      trace.per_task.push_back(std::move(lt));
     }
   }
   const auto& m = job.metrics();
-  trace.completed = m.completed;
-  trace.finished_at = m.finished_at;
-  trace.speculative_attempts = m.speculative_attempts;
-  trace.killed_map_attempts = m.killed_map_attempts;
-  trace.killed_reduce_attempts = m.killed_reduce_attempts;
-  trace.failed_map_attempts = m.failed_map_attempts;
-  trace.failed_reduce_attempts = m.failed_reduce_attempts;
-  trace.map_reexecutions = m.map_reexecutions;
-  trace.checkpoint_resumes = m.checkpoint_resumes;
-  return trace;
+  g.completed = m.completed;
+  g.finished_at = m.finished_at;
+  g.speculative_attempts = m.speculative_attempts;
+  g.killed_map_attempts = m.killed_map_attempts;
+  g.killed_reduce_attempts = m.killed_reduce_attempts;
+  g.failed_map_attempts = m.failed_map_attempts;
+  g.failed_reduce_attempts = m.failed_reduce_attempts;
+  g.map_reexecutions = m.map_reexecutions;
+  g.checkpoint_resumes = m.checkpoint_resumes;
+  return g;
 }
 
 struct PolicyCase {
@@ -149,51 +178,57 @@ std::vector<PolicyCase> policies() {
   };
 }
 
+const std::uint64_t kSeeds[] = {1u, 42u, 20100621u};
+
+// Recorded with both scheduler implementations (indexed buckets and the
+// original full scan), which agreed on every field of every case.
+// Field order: completed, finished_at, launches, speculative, killed map,
+// killed reduce, failed map, failed reduce, map re-executions, checkpoint
+// resumes, launch hash. Indexed [policy][seed] as policies() x kSeeds.
+const Golden kGoldens[4][3] = {
+    {  // Hadoop
+        {true, 205000000, 19, 3, 2, 1, 0, 0, 0, 0, 11858738351419356509ULL},
+        {true, 375000000, 20, 4, 3, 1, 0, 0, 0, 0, 8348515992949157847ULL},
+        {true, 245000000, 18, 2, 1, 1, 0, 0, 0, 0, 6663902050615557183ULL},
+    },
+    {  // Late
+        {true, 460000000, 25, 7, 5, 2, 0, 0, 2, 0, 14551830892843816184ULL},
+        {true, 380000000, 23, 7, 5, 2, 0, 0, 0, 0, 9327471687577482154ULL},
+        {true, 230000000, 22, 6, 4, 2, 0, 0, 0, 0, 3659326768966986123ULL},
+    },
+    {  // Moon
+        {true, 215000000, 22, 6, 3, 3, 0, 0, 0, 0, 715813952256795839ULL},
+        {true, 280000000, 23, 7, 4, 3, 0, 0, 0, 0, 12525154086037752758ULL},
+        {true, 230000000, 23, 7, 4, 3, 0, 0, 0, 0, 701174228307149527ULL},
+    },
+    {  // MoonCkpt
+        {true, 190000000, 22, 6, 2, 4, 0, 0, 0, 0, 16427188910985943183ULL},
+        {true, 295000000, 23, 7, 2, 5, 0, 0, 0, 1, 3640104323032348220ULL},
+        {true, 230000000, 24, 8, 3, 5, 0, 0, 0, 3, 2762226445140925299ULL},
+    },
+};
+
 class SchedEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
 
-TEST_P(SchedEquivalenceTest, IndexedMatchesScanBitForBit) {
-  const auto [policy_index, seed] = GetParam();
+TEST_P(SchedEquivalenceTest, MatchesRecordedGoldenBitForBit) {
+  const auto [policy_index, seed_index] = GetParam();
   const PolicyCase policy = policies()[policy_index];
-
-  const RunTrace indexed =
-      run_one(policy.sched, SchedulerConfig::IndexMode::kIndexed, seed);
-  const RunTrace scan =
-      run_one(policy.sched, SchedulerConfig::IndexMode::kScan, seed);
-
-  ASSERT_EQ(indexed.per_task.size(), scan.per_task.size());
-  for (std::size_t t = 0; t < indexed.per_task.size(); ++t) {
-    const auto& a = indexed.per_task[t].launches;
-    const auto& b = scan.per_task[t].launches;
-    ASSERT_EQ(a.size(), b.size()) << "attempt count diverged for task #" << t;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i], b[i]) << "launch #" << i << " of task #" << t
-                            << " diverged (time/node/speculative)";
-    }
-  }
-  EXPECT_EQ(indexed.completed, scan.completed);
-  EXPECT_EQ(indexed.finished_at, scan.finished_at) << "completion time diverged";
-  EXPECT_EQ(indexed.speculative_attempts, scan.speculative_attempts);
-  EXPECT_EQ(indexed.killed_map_attempts, scan.killed_map_attempts);
-  EXPECT_EQ(indexed.killed_reduce_attempts, scan.killed_reduce_attempts);
-  EXPECT_EQ(indexed.failed_map_attempts, scan.failed_map_attempts);
-  EXPECT_EQ(indexed.failed_reduce_attempts, scan.failed_reduce_attempts);
-  EXPECT_EQ(indexed.map_reexecutions, scan.map_reexecutions);
-  EXPECT_EQ(indexed.checkpoint_resumes, scan.checkpoint_resumes);
+  const Golden got = run_one(policy.sched, kSeeds[seed_index]);
+  EXPECT_EQ(got, kGoldens[policy_index][seed_index]);
   // The run exercised the scheduler: something launched.
-  std::size_t total_launches = 0;
-  for (const auto& lt : indexed.per_task) total_launches += lt.launches.size();
-  EXPECT_GT(total_launches, 0u);
+  EXPECT_GT(got.launches, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     PoliciesAndSeeds, SchedEquivalenceTest,
     ::testing::Combine(::testing::Values(std::size_t{0}, std::size_t{1},
                                          std::size_t{2}, std::size_t{3}),
-                       ::testing::Values(1u, 42u, 20100621u)),
+                       ::testing::Values(std::size_t{0}, std::size_t{1},
+                                         std::size_t{2})),
     [](const auto& param_info) {
       return policies()[std::get<0>(param_info.param)].name + "Seed" +
-             std::to_string(std::get<1>(param_info.param));
+             std::to_string(kSeeds[std::get<1>(param_info.param)]);
     });
 
 }  // namespace
