@@ -42,12 +42,10 @@ FlowNetwork::~FlowNetwork() {
   if (coalesce_ == CoalesceMode::kCoalesced) sim_.remove_flush_hook(hook_);
 }
 
-FlowNetwork::ResourceId FlowNetwork::add_resource(BytesPerSecond capacity,
-                                                  std::string name) {
+FlowNetwork::ResourceId FlowNetwork::add_resource(BytesPerSecond capacity) {
   if (capacity < 0.0) throw std::logic_error("FlowNetwork: negative capacity");
   resources_.emplace_back();
   resources_.back().cap = capacity;
-  resources_.back().name = std::move(name);
   return resources_.size() - 1;
 }
 
@@ -66,6 +64,9 @@ BytesPerSecond FlowNetwork::capacity(ResourceId resource) const {
 FlowId FlowNetwork::start_flow(std::vector<ResourceId> resources, Bytes size,
                                CompletionFn on_complete) {
   if (size < 0) throw std::logic_error("FlowNetwork: negative flow size");
+  if (resources.size() > kMaxPath) {
+    throw std::length_error("FlowNetwork: flow path longer than kMaxPath");
+  }
   for (ResourceId r : resources) {
     if (r >= resources_.size()) throw std::out_of_range("FlowNetwork: bad resource");
   }
@@ -81,8 +82,7 @@ FlowId FlowNetwork::start_flow(std::vector<ResourceId> resources, Bytes size,
   }
   Flow& f = slots_[slot];
   f.id = id;
-  f.resources = std::move(resources);
-  f.link_pos.resize(f.resources.size());
+  f.hop_count = static_cast<std::uint8_t>(resources.size());
   // Clamp to one byte: a zero-size flow would complete synchronously inside
   // this call, handing re-entrancy surprises to the caller. One byte keeps
   // completion asynchronous (and is immediate at any non-zero rate).
@@ -90,8 +90,9 @@ FlowId FlowNetwork::start_flow(std::vector<ResourceId> resources, Bytes size,
   f.rate = 0.0;
   f.deadline = kTimeMax;
   f.on_complete = std::move(on_complete);
-  for (std::size_t k = 0; k < f.resources.size(); ++k) {
-    Resource& res = resources_[f.resources[k]];
+  for (std::size_t k = 0; k < resources.size(); ++k) {
+    f.hops[k] = static_cast<std::uint32_t>(resources[k]);
+    Resource& res = resources_[f.hops[k]];
     f.link_pos[k] = static_cast<std::uint32_t>(res.flows.size());
     res.flows.push_back(Link{slot, static_cast<std::uint32_t>(k)});
   }
@@ -163,7 +164,7 @@ void FlowNetwork::advance_progress() {
     if (f.rate <= 0.0) continue;
     const double moved = std::min(f.remaining, f.rate * elapsed);
     f.remaining -= moved;
-    for (ResourceId r : f.resources) resources_[r].transferred += moved;
+    for (ResourceId r : f.path()) resources_[r].transferred += moved;
   }
 }
 
@@ -180,8 +181,8 @@ void FlowNetwork::remove_flow(std::uint32_t slot) {
   Flow& f = slots_[slot];
   // Unlink from each crossed resource (swap-pop; fix the moved link's
   // back-pointer) and seed it dirty so neighbours re-share the freed share.
-  for (std::size_t k = 0; k < f.resources.size(); ++k) {
-    Resource& res = resources_[f.resources[k]];
+  for (std::size_t k = 0; k < f.hop_count; ++k) {
+    Resource& res = resources_[f.hops[k]];
     const std::uint32_t pos = f.link_pos[k];
     const Link moved = res.flows.back();
     res.flows[pos] = moved;
@@ -189,10 +190,10 @@ void FlowNetwork::remove_flow(std::uint32_t slot) {
     if (moved.slot != slot || moved.ridx != k) {
       slots_[moved.slot].link_pos[moved.ridx] = pos;
     }
-    mark_resource_dirty(f.resources[k], /*cap_changed=*/false);
+    mark_resource_dirty(f.hops[k], /*cap_changed=*/false);
   }
   if (f.share_counted) {
-    for (ResourceId r : f.resources) --resources_[r].share_load;
+    for (ResourceId r : f.path()) --resources_[r].share_load;
   }
   if (f.in_heap) {
     f.in_heap = false;
@@ -211,8 +212,7 @@ void FlowNetwork::remove_flow(std::uint32_t slot) {
   slot_of_.erase(f.id);
   f.id = FlowId::invalid();
   f.on_complete = nullptr;
-  f.resources.clear();
-  f.link_pos.clear();
+  f.hop_count = 0;
   f.share_counted = false;
   free_slots_.push_back(slot);
   --active_count_;
@@ -438,13 +438,13 @@ void FlowNetwork::recompute_dense_maxmin() {
   dense_unfrozen_.clear();
   for (std::uint32_t s = live_head_; s != kNoSlot; s = slots_[s].live_next) {
     Flow& f = slots_[s];
-    if (f.resources.empty()) {
+    if (f.path().empty()) {
       // Resource-less flow: completes at infinite rate.
       assign_rate(s, kInfinity);
       continue;
     }
     dense_unfrozen_.push_back(s);
-    for (ResourceId r : f.resources) ++resources_[r].load;
+    for (ResourceId r : f.path()) ++resources_[r].load;
   }
 
   while (!dense_unfrozen_.empty()) {
@@ -466,13 +466,14 @@ void FlowNetwork::recompute_dense_maxmin() {
     const double rate = std::max(0.0, best_share);
     for (auto it = dense_unfrozen_.begin(); it != dense_unfrozen_.end();) {
       Flow& f = slots_[*it];
-      const bool crosses = std::find(f.resources.begin(), f.resources.end(),
-                                     best_r) != f.resources.end();
+      const auto path = f.path();
+      const bool crosses =
+          std::find(path.begin(), path.end(), best_r) != path.end();
       if (!crosses) {
         ++it;
         continue;
       }
-      for (ResourceId r : f.resources) {
+      for (ResourceId r : path) {
         resources_[r].residual = std::max(0.0, resources_[r].residual - rate);
         --resources_[r].load;
       }
@@ -495,7 +496,7 @@ void FlowNetwork::recompute_dense_bottleneck_share() {
   for (std::uint32_t s = live_head_; s != kNoSlot; s = slots_[s].live_next) {
     Flow& f = slots_[s];
     bool stalled = false;
-    for (ResourceId r : f.resources) {
+    for (ResourceId r : f.path()) {
       if (resources_[r].cap <= 0.0) {
         stalled = true;
         break;
@@ -503,7 +504,7 @@ void FlowNetwork::recompute_dense_bottleneck_share() {
     }
     f.fill_mark = stalled;
     if (!stalled) {
-      for (ResourceId r : f.resources) ++resources_[r].load;
+      for (ResourceId r : f.path()) ++resources_[r].load;
     }
   }
   for (std::uint32_t s = live_head_; s != kNoSlot; s = slots_[s].live_next) {
@@ -512,12 +513,12 @@ void FlowNetwork::recompute_dense_bottleneck_share() {
       assign_rate(s, 0.0);
       continue;
     }
-    if (f.resources.empty()) {
+    if (f.path().empty()) {
       assign_rate(s, kInfinity);
       continue;
     }
     double rate = kInfinity;
-    for (ResourceId r : f.resources) {
+    for (ResourceId r : f.path()) {
       rate = std::min(rate, resources_[r].cap /
                                 static_cast<double>(resources_[r].load));
     }
@@ -530,73 +531,85 @@ void FlowNetwork::recompute_region_maxmin() {
   // progressive filling over the union of the dirty flows'/resources' whole
   // components reproduces the global solve bit-for-bit on that region while
   // leaving every other component's rates untouched.
+  //
+  // One pass sets the region up: visiting a resource resets its filling
+  // scratch, and visiting a flow counts it into the loads of its path. A
+  // flow whose path crosses a zero-capacity resource (a stalled flow: an
+  // endpoint node is down) is frozen at rate 0 on the spot and adds no load.
+  // That is exact. In the full filling every zero-capacity resource with
+  // load has share 0, below every positive capacity's share, so those
+  // resources win the first rounds and freeze each stalled flow at
+  // max(0, 0) = 0. Subtracting 0.0 leaves every other residual bit-for-bit
+  // unchanged, and the positive shares stay above 0, so when those rounds
+  // end the residuals are the capacities and the loads count only the
+  // unstalled flows: the state this pruned set-up starts from. (The
+  // argument assumes no positive capacity is so small that capacity/load
+  // underflows to 0; capacities are bytes/second.) Stalled flows still
+  // join the region, so a component they bridge is solved as one.
   ++stamp_;
-  region_flows_.clear();
   region_resources_.clear();
-  auto visit_flow = [this](std::uint32_t s) {
-    Flow& f = slots_[s];
-    if (!f.id.valid() || f.visit_stamp == stamp_) return;
-    f.visit_stamp = stamp_;
-    region_flows_.push_back(s);
-  };
+  std::size_t unfrozen = 0;
   auto visit_resource = [this](ResourceId r) {
     Resource& res = resources_[r];
     if (res.visit_stamp == stamp_) return;
     res.visit_stamp = stamp_;
+    res.residual = res.cap;
+    res.load = 0;
     region_resources_.push_back(r);
+  };
+  auto visit_flow = [&](std::uint32_t s) {
+    Flow& f = slots_[s];
+    if (!f.id.valid() || f.visit_stamp == stamp_) return;
+    f.visit_stamp = stamp_;
+    const auto path = f.path();
+    if (path.empty()) {
+      // Resource-less flow: completes at infinite rate.
+      f.fill_mark = true;
+      assign_rate(s, kInfinity);
+      return;
+    }
+    bool stalled = false;
+    for (ResourceId r : path) {
+      visit_resource(r);
+      stalled = stalled || resources_[r].cap <= 0.0;
+    }
+    f.fill_mark = stalled;
+    if (stalled) {
+      assign_rate(s, 0.0);
+      return;
+    }
+    ++unfrozen;
+    for (ResourceId r : path) ++resources_[r].load;
   };
   for (std::uint32_t s : dirty_flows_) {
     if (s < slots_.size()) visit_flow(s);
   }
   for (ResourceId r : dirty_resources_) visit_resource(r);
-  for (std::size_t fi = 0, ri = 0;
-       fi < region_flows_.size() || ri < region_resources_.size();) {
-    if (fi < region_flows_.size()) {
-      for (ResourceId r : slots_[region_flows_[fi]].resources) visit_resource(r);
-      ++fi;
-    } else {
-      for (const Link& l : resources_[region_resources_[ri]].flows) {
-        visit_flow(l.slot);
-      }
-      ++ri;
+  // Index loop: visiting a flow appends its resources to region_resources_.
+  for (std::size_t ri = 0; ri < region_resources_.size(); ++ri) {
+    for (const Link& l : resources_[region_resources_[ri]].flows) {
+      visit_flow(l.slot);
     }
   }
 
   // Progressive filling restricted to the region. Bottleneck selection uses
   // a lazily-invalidated min-heap of (share, resource) instead of a scan of
   // every resource per round; the (share, index) order reproduces the dense
-  // solver's lowest-index tie-break.
-  std::size_t unfrozen = 0;
-  for (ResourceId r : region_resources_) {
-    Resource& res = resources_[r];
-    res.residual = res.cap;
-    res.load = 0;
-  }
-  for (std::uint32_t s : region_flows_) {
-    Flow& f = slots_[s];
-    if (f.resources.empty()) {
-      f.fill_mark = true;
-      assign_rate(s, kInfinity);
-      continue;
-    }
-    f.fill_mark = false;
-    ++unfrozen;
-    for (ResourceId r : f.resources) ++resources_[r].load;
-  }
+  // solver's lowest-index tie-break, and since no two entries differ in
+  // resource alone the pop order does not depend on how the heap was built.
   const auto share_later = [](const ShareEntry& a, const ShareEntry& b) {
     if (a.share != b.share) return a.share > b.share;
     return a.resource > b.resource;
   };
-  share_heap_.clear();
-  auto push_share = [&](ResourceId r) {
+  auto share_of = [this](ResourceId r) {
     const Resource& res = resources_[r];
-    share_heap_.push_back(
-        ShareEntry{res.residual / static_cast<double>(res.load), r});
-    std::push_heap(share_heap_.begin(), share_heap_.end(), share_later);
+    return ShareEntry{res.residual / static_cast<double>(res.load), r};
   };
+  share_heap_.clear();
   for (ResourceId r : region_resources_) {
-    if (resources_[r].load > 0) push_share(r);
+    if (resources_[r].load > 0) share_heap_.push_back(share_of(r));
   }
+  std::make_heap(share_heap_.begin(), share_heap_.end(), share_later);
   while (unfrozen > 0 && !share_heap_.empty()) {
     const ShareEntry top = share_heap_.front();
     std::pop_heap(share_heap_.begin(), share_heap_.end(), share_later);
@@ -610,7 +623,7 @@ void FlowNetwork::recompute_region_maxmin() {
     // top.resource is the bottleneck; freeze its unfrozen flows at the share.
     // Re-push each side resource once per round (after all of the round's
     // freezes have updated it), not once per freeze. Rounds dedupe with a
-    // fresh stamp; the BFS above is done with the old one.
+    // fresh stamp; the set-up above is done with the old one.
     const double rate = std::max(0.0, top.share);
     ++stamp_;
     round_touched_.clear();
@@ -619,7 +632,7 @@ void FlowNetwork::recompute_region_maxmin() {
       if (f.fill_mark) continue;
       f.fill_mark = true;
       --unfrozen;
-      for (ResourceId r2 : f.resources) {
+      for (ResourceId r2 : f.path()) {
         Resource& res2 = resources_[r2];
         res2.residual = std::max(0.0, res2.residual - rate);
         --res2.load;
@@ -631,7 +644,10 @@ void FlowNetwork::recompute_region_maxmin() {
       assign_rate(l.slot, rate);
     }
     for (ResourceId r2 : round_touched_) {
-      if (resources_[r2].load > 0) push_share(r2);
+      if (resources_[r2].load > 0) {
+        share_heap_.push_back(share_of(r2));
+        std::push_heap(share_heap_.begin(), share_heap_.end(), share_later);
+      }
     }
   }
 }
@@ -639,7 +655,7 @@ void FlowNetwork::recompute_region_maxmin() {
 void FlowNetwork::update_share_status(std::uint32_t slot) {
   Flow& f = slots_[slot];
   bool stalled = false;
-  for (ResourceId r : f.resources) {
+  for (ResourceId r : f.path()) {
     if (resources_[r].cap <= 0.0) {
       stalled = true;
       break;
@@ -648,7 +664,7 @@ void FlowNetwork::update_share_status(std::uint32_t slot) {
   const bool counted = !stalled;
   if (counted == f.share_counted) return;
   f.share_counted = counted;
-  for (ResourceId r : f.resources) {
+  for (ResourceId r : f.path()) {
     Resource& res = resources_[r];
     if (counted) {
       ++res.share_load;
@@ -697,12 +713,12 @@ void FlowNetwork::recompute_incremental_bottleneck_share() {
       assign_rate(s, 0.0);  // stalled
       continue;
     }
-    if (f.resources.empty()) {
+    if (f.path().empty()) {
       assign_rate(s, kInfinity);
       continue;
     }
     double rate = kInfinity;
-    for (ResourceId r : f.resources) {
+    for (ResourceId r : f.path()) {
       rate = std::min(rate, resources_[r].cap /
                                 static_cast<double>(resources_[r].share_load));
     }

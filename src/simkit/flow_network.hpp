@@ -32,11 +32,12 @@
 // execution produce bit-identical simulated outcomes.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <string>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -132,15 +133,20 @@ class FlowNetwork {
     bool closed_ = false;
   };
 
+  /// Longest path a flow may cross. Every caller fits: the longest path is
+  /// a remote replica write, disk -> nic_out -> nic_in -> disk.
+  static constexpr std::size_t kMaxPath = 4;
+
   /// Registers a capacity-limited resource (bytes/second).
-  ResourceId add_resource(BytesPerSecond capacity, std::string name = {});
+  ResourceId add_resource(BytesPerSecond capacity);
 
   /// Changes a resource's capacity (0 = stalled); live flows re-share.
   void set_capacity(ResourceId resource, BytesPerSecond capacity);
   [[nodiscard]] BytesPerSecond capacity(ResourceId resource) const;
 
   /// Starts a flow of `size` bytes across `resources` (all simultaneously
-  /// required). `on_complete` fires when the last byte is delivered; it may
+  /// required; at most kMaxPath of them, else std::length_error and nothing
+  /// changes). `on_complete` fires when the last byte is delivered; it may
   /// start or abort other flows.
   FlowId start_flow(std::vector<ResourceId> resources, Bytes size,
                     CompletionFn on_complete);
@@ -161,24 +167,30 @@ class FlowNetwork {
   static constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
 
   struct Flow {
+    // What progressive filling reads comes first; the callback goes last.
     FlowId id;  // invalid() while the slot is on the free list
-    std::vector<ResourceId> resources;
-    // resources_[resources[k]].flows[link_pos[k]] is this flow's entry;
+    std::array<std::uint32_t, kMaxPath> hops{};  // resources crossed, in order
+    std::uint64_t visit_stamp = 0;  // dirty-region traversal
+    double rate = 0.0;              // bytes/second, assigned by the allocator
+    std::uint8_t hop_count = 0;
+    bool fill_mark = false;         // scratch: frozen/stalled during a recompute
+    bool in_heap = false;           // has a live completion-heap entry
+    bool share_counted = false;     // bottleneck-share: contributes to share_load
+    // resources_[hops[k]].flows[link_pos[k]] is this flow's entry;
     // duplicate path entries get independent links.
-    std::vector<std::uint32_t> link_pos;
+    std::array<std::uint32_t, kMaxPath> link_pos{};
     double remaining = 0.0;  // bytes, accrued up to last_update_
-    double rate = 0.0;       // bytes/second, assigned by the allocator
     Time deadline = kTimeMax;  // projected completion; kTimeMax = stalled
     std::uint64_t epoch = 0;   // bumped per deadline refresh; stale-marks heap entries
-    CompletionFn on_complete;
     // Intrusive live list in start order: keeps per-settle scans bounded by
     // the *current* flow count, not the historical peak slot count.
     std::uint32_t live_prev = kNoSlot;
     std::uint32_t live_next = kNoSlot;
-    std::uint64_t visit_stamp = 0;  // dirty-region traversal
-    bool in_heap = false;           // has a live completion-heap entry
-    bool fill_mark = false;         // scratch: frozen/stalled during a recompute
-    bool share_counted = false;     // bottleneck-share: contributes to share_load
+    CompletionFn on_complete;
+
+    [[nodiscard]] std::span<const std::uint32_t> path() const {
+      return {hops.data(), hop_count};
+    }
   };
 
   /// Back-reference stored in a resource's flow index: `slot` is the flow,
@@ -190,16 +202,15 @@ class FlowNetwork {
 
   struct Resource {
     BytesPerSecond cap = 0.0;
-    std::string name;
-    double transferred = 0.0;  // lifetime bytes through this resource
-    std::vector<Link> flows;   // active flows crossing this resource
-    std::uint32_t share_load = 0;  // bottleneck-share: live-flow count (maintained)
-    bool seed_dirty = false;       // queued in dirty_resources_
-    bool cap_dirty = false;        // capacity changed since last recompute
-    std::uint64_t visit_stamp = 0;  // dirty-region traversal
     // Progressive-filling scratch (valid only mid-recompute):
     double residual = 0.0;
     std::uint32_t load = 0;
+    std::uint32_t share_load = 0;  // bottleneck-share: live-flow count (maintained)
+    std::uint64_t visit_stamp = 0;  // dirty-region traversal
+    std::vector<Link> flows;   // active flows crossing this resource
+    double transferred = 0.0;  // lifetime bytes through this resource
+    bool seed_dirty = false;       // queued in dirty_resources_
+    bool cap_dirty = false;        // capacity changed since last recompute
   };
 
   /// Completion-heap entry; stale when the flow is gone or its epoch moved.
@@ -291,7 +302,6 @@ class FlowNetwork {
 
   // Recompute scratch, reused across settles to avoid reallocation.
   std::uint64_t stamp_ = 0;
-  std::vector<std::uint32_t> region_flows_;
   std::vector<ResourceId> region_resources_;
   std::vector<ShareEntry> share_heap_;
   std::vector<ResourceId> round_touched_;

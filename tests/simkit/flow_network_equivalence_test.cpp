@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -220,6 +221,224 @@ INSTANTIATE_TEST_SUITE_P(
               : "BottleneckShare";
       return model + "Seed" + std::to_string(std::get<1>(param_info.param));
     });
+
+// ---- stalled-flow pruning ---------------------------------------------------
+// The incremental max-min solve freezes stalled flows (a zero-capacity
+// resource on the path) at rate 0 before progressive filling, instead of
+// letting zero-share bottleneck rounds freeze them (DESIGN.md §8). This
+// scenario aims at the edges of that argument: two groups of live flows
+// whose only connection is a set of flows stalled on a down relay node,
+// paths that list one resource twice, and nodes that go down and come back
+// up inside one same-timestamp burst. The relay also comes up now and then,
+// merging the groups through the (then live) bridge flows.
+
+/// One arm of the bridge scenario. Nodes 0-2 form group A, 3-5 group B, and
+/// node 6 is the relay the bridge flows cross.
+struct BridgeReplay {
+  static constexpr int kRelay = 6;
+  Simulation sim;
+  FlowNetwork net;
+  std::vector<FlowNetwork::ResourceId> res;  // 3 per node: nic_in, nic_out, disk
+  std::vector<FlowId> group[2];
+  std::vector<FlowId> bridges;
+  bool relay_up = true;
+  std::vector<std::pair<FlowId, Time>> completions;
+  std::vector<double> samples;  // rate, remaining of every live flow
+  int bridged_samples = 0;      // groups live, joined only by stalled bridges
+
+  BridgeReplay(SolverMode solver, CoalesceMode coalesce)
+      : net(sim, FairnessModel::kMaxMin, solver, coalesce) {
+    for (int n = 0; n <= kRelay; ++n) {
+      res.push_back(net.add_resource(mibps(80.0)));
+      res.push_back(net.add_resource(mibps(80.0)));
+      res.push_back(net.add_resource(mibps(30.0)));
+    }
+  }
+
+  FlowNetwork::ResourceId nic_in(int n) const { return res[n * 3 + 0]; }
+  FlowNetwork::ResourceId nic_out(int n) const { return res[n * 3 + 1]; }
+  FlowNetwork::ResourceId disk(int n) const { return res[n * 3 + 2]; }
+
+  void set_node(int n, bool up) {
+    FlowNetwork::CapacityBatch batch(net);
+    net.set_capacity(nic_in(n), up ? mibps(80.0) : 0.0);
+    net.set_capacity(nic_out(n), up ? mibps(80.0) : 0.0);
+    net.set_capacity(disk(n), up ? mibps(30.0) : 0.0);
+    if (n == kRelay) relay_up = up;
+  }
+
+  void start(std::vector<FlowId>& into,
+             std::vector<FlowNetwork::ResourceId> path, Bytes size) {
+    std::vector<FlowId>* list = &into;
+    const FlowId id = net.start_flow(std::move(path), size, [this, list](FlowId f) {
+      completions.emplace_back(f, sim.now());
+      std::erase(*list, f);
+    });
+    into.push_back(id);
+  }
+
+  void start_in_group(int g, Rng& rng) {
+    const int src = g * 3 + static_cast<int>(rng.uniform_int(0, 2));
+    const int dst = g * 3 + static_cast<int>(rng.uniform_int(0, 2));
+    const Bytes size = static_cast<Bytes>(rng.uniform_int(1, 1 << 22));
+    switch (rng.uniform_int(0, 3)) {
+      case 0:
+        start(group[g], {disk(src), nic_out(src), nic_in(dst), disk(dst)}, size);
+        break;
+      case 1:
+        start(group[g], {nic_out(src), nic_in(dst)}, size);
+        break;
+      case 2:  // the source disk listed twice: read and local spill
+        start(group[g], {disk(src), nic_out(src), disk(src)}, size);
+        break;
+      default:
+        start(group[g], {nic_in(dst), nic_in(dst)}, size);
+        break;
+    }
+  }
+
+  void start_bridges() {
+    start(bridges, {nic_out(0), nic_in(kRelay), nic_out(kRelay), nic_in(4)},
+          mib(3.0));
+    start(bridges, {disk(2), disk(kRelay), nic_in(3)}, mib(2.0));
+    start(bridges, {nic_out(5), nic_in(kRelay), nic_in(kRelay), nic_in(1)},
+          mib(1.0));
+  }
+
+  void sample() {
+    bool live[2] = {false, false};
+    for (int g = 0; g < 2; ++g) {
+      for (const FlowId f : group[g]) {
+        const double rate = net.rate(f);
+        live[g] = live[g] || rate > 0.0;
+        samples.push_back(rate);
+        samples.push_back(static_cast<double>(net.remaining(f)));
+      }
+    }
+    bool bridges_stalled = !bridges.empty();
+    for (const FlowId f : bridges) {
+      const double rate = net.rate(f);
+      bridges_stalled = bridges_stalled && rate == 0.0;
+      samples.push_back(rate);
+      samples.push_back(static_cast<double>(net.remaining(f)));
+    }
+    if (!relay_up && bridges_stalled && live[0] && live[1]) ++bridged_samples;
+  }
+
+  /// Seeded bursts of same-timestamp churn. The draws depend on the arm's
+  /// own state (live-list sizes), so arms stay in lockstep exactly as long as
+  /// their behaviour is identical.
+  void run(std::uint64_t seed) {
+    Rng rng{seed};
+    for (int g = 0; g < 2; ++g) {
+      for (int i = 0; i < 4; ++i) start_in_group(g, rng);
+    }
+    set_node(kRelay, false);
+    start_bridges();
+    sample();
+    Time t = 0;
+    for (int round = 0; round < 80; ++round) {
+      t += rng.uniform_int(1, 300) * kMillisecond;
+      sim.run_until(t);
+      if (round % 20 == 19) {
+        set_node(kRelay, true);  // bridges go live: the groups merge
+        sample();
+        continue;
+      }
+      if (relay_up) {
+        set_node(kRelay, false);
+        if (bridges.size() < 2) start_bridges();
+      }
+      const auto ops = rng.uniform_int(2, 5);
+      for (std::int64_t op = 0; op < ops; ++op) {
+        const int g = static_cast<int>(rng.uniform_int(0, 1));
+        switch (rng.uniform_int(0, 4)) {
+          case 0:
+            start_in_group(g, rng);
+            break;
+          case 1:
+            if (!group[g].empty()) {
+              const auto i = static_cast<std::size_t>(rng.uniform_int(
+                  0, static_cast<std::int64_t>(group[g].size()) - 1));
+              net.abort_flow(group[g][i]);
+              group[g].erase(group[g].begin() + static_cast<std::ptrdiff_t>(i));
+            }
+            break;
+          case 2:  // the relay comes up and goes down within the burst
+            set_node(kRelay, true);
+            set_node(kRelay, false);
+            break;
+          case 3: {  // a group node goes down and comes back up
+            const int n = g * 3 + static_cast<int>(rng.uniform_int(0, 2));
+            set_node(n, false);
+            start_in_group(g, rng);
+            set_node(n, true);
+            break;
+          }
+          default:
+            sample();  // a read inside the burst
+            break;
+        }
+      }
+      sample();
+    }
+    set_node(kRelay, true);
+    sim.run();  // drain: every flow completes
+  }
+};
+
+class StalledPruningTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(StalledPruningTest, StalledBridgesAndDuplicatePathsMatchDense) {
+  std::vector<std::unique_ptr<BridgeReplay>> arms;
+  std::vector<std::string> labels;
+  for (const SolverMode solver : {SolverMode::kDense, SolverMode::kIncremental}) {
+    for (const CoalesceMode coalesce :
+         {CoalesceMode::kEager, CoalesceMode::kCoalesced}) {
+      arms.push_back(std::make_unique<BridgeReplay>(solver, coalesce));
+      labels.push_back(std::string(solver == SolverMode::kDense ? "dense"
+                                                                : "incremental") +
+                       (coalesce == CoalesceMode::kEager ? "/eager"
+                                                         : "/coalesced"));
+    }
+  }
+  for (auto& arm : arms) arm->run(GetParam());
+
+  const BridgeReplay& ref = *arms.front();
+  // The scenario is not vacuous: the groups were observed live while joined
+  // only by stalled bridges, and the drain completed every flow.
+  EXPECT_GT(ref.bridged_samples, 10);
+  EXPECT_GT(ref.completions.size(), 50u);
+  EXPECT_EQ(ref.net.active_flows(), 0u);
+  for (std::size_t v = 1; v < arms.size(); ++v) {
+    const BridgeReplay& arm = *arms[v];
+    SCOPED_TRACE(labels[v] + " vs " + labels[0]);
+    EXPECT_EQ(arm.bridged_samples, ref.bridged_samples);
+    ASSERT_EQ(arm.completions.size(), ref.completions.size());
+    for (std::size_t i = 0; i < ref.completions.size(); ++i) {
+      EXPECT_EQ(arm.completions[i].first, ref.completions[i].first)
+          << "completion order diverged at #" << i;
+      EXPECT_EQ(arm.completions[i].second, ref.completions[i].second)
+          << "completion time diverged at #" << i;
+    }
+    ASSERT_EQ(arm.samples.size(), ref.samples.size());
+    for (std::size_t i = 0; i < ref.samples.size(); ++i) {
+      EXPECT_EQ(arm.samples[i], ref.samples[i])  // exact, not NEAR
+          << "rate/remaining sample diverged at #" << i;
+    }
+    for (std::size_t r = 0; r < ref.res.size(); ++r) {
+      EXPECT_EQ(arm.net.transferred_through(arm.res[r]),
+                ref.net.transferred_through(ref.res[r]))
+          << "transferred bytes diverged on resource " << r;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StalledPruningTest,
+                         ::testing::Values(1u, 7u, 20100621u),
+                         [](const auto& param_info) {
+                           return "Seed" + std::to_string(param_info.param);
+                         });
 
 }  // namespace
 }  // namespace moon::sim

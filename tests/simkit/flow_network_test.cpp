@@ -330,6 +330,28 @@ TEST(FlowNetwork, InvalidResourceThrows) {
   EXPECT_THROW(net.add_resource(-1.0), std::logic_error);
 }
 
+TEST(FlowNetwork, OverlongPathThrowsWithoutSideEffects) {
+  Simulation sim;
+  FlowNetwork net(sim);
+  std::vector<FlowNetwork::ResourceId> r;
+  for (int i = 0; i < 5; ++i) r.push_back(net.add_resource(100.0));
+  std::vector<Time> done;
+  const FlowId a = net.start_flow({r[0]}, 1000, [&](FlowId) {
+    done.push_back(sim.now());
+  });
+  EXPECT_THROW(net.start_flow(r, 10, [&](FlowId) { done.push_back(-1); }),
+               std::length_error);
+  EXPECT_EQ(net.active_flows(), 1u);
+  EXPECT_EQ(net.rate(a), 100.0);  // no phantom flow shares r[0]
+  // The longest allowed path is accepted.
+  r.pop_back();
+  ASSERT_EQ(r.size(), FlowNetwork::kMaxPath);
+  net.start_flow(r, 1000, [&](FlowId) { done.push_back(sim.now()); });
+  EXPECT_EQ(net.active_flows(), 2u);
+  sim.run();
+  EXPECT_EQ(done, (std::vector<Time>{20 * kSecond, 20 * kSecond}));
+}
+
 TEST(FlowNetwork, RateOfUnknownFlowIsZero) {
   Simulation sim;
   FlowNetwork net(sim);
