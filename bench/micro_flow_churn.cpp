@@ -1,20 +1,17 @@
-// Flow-solver availability-churn microbenchmark: old vs new.
+// Flow-solver availability-churn microbenchmark.
 //
 // Sweeps 64/256/1024-node clusters (three fluid resources per node) under
-// steady flow turnover plus periodic node availability flips, and measures
-// the wall-clock cost of the settle path for two solver arms:
+// steady flow turnover plus periodic node availability flips, each flip
+// batched into one settle like Node::set_available, and measures the
+// wall-clock cost of the incremental solver's settle path.
 //
-//   dense        — SolverMode::kDense driven with three separate
-//                  set_capacity calls per availability flip: the cost
-//                  profile of the pre-incremental solver.
-//   incremental  — SolverMode::kIncremental with CapacityBatch-batched
-//                  flips: the shipping configuration.
-//
-// Both arms replay the identical deterministic workload (the solvers are
-// bit-equivalent, so the simulated schedules match event for event; the
-// bench asserts identical completion counts and end states). Emits
-// BENCH_flow_churn.json with per-configuration wall times and the
-// incremental-arm speedup. MOON_BENCH_REPS controls repetitions (best-of).
+// Every cell runs at least twice with the same seed and must reproduce the
+// same completion and event counts; the binary exits non-zero otherwise.
+// The dense-vs-incremental speedups of the original dense solver are
+// recorded in BENCH_flow_churn.json; this binary writes
+// BENCH_flow_churn_incremental.json. MOON_BENCH_REPS controls repetitions
+// (best-of).
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <functional>
@@ -43,14 +40,10 @@ struct ArmResult {
 // One churn run: `nodes` nodes, 2 flows/node kept in flight (each completion
 // chains a replacement until the issue budget is spent), one availability
 // flip every 250 simulated ms (down nodes recover after 2 s).
-ArmResult run_arm(sim::SolverMode solver, sim::FairnessModel model, int nodes,
-                  bool batched_flips) {
+ArmResult run_arm(sim::FairnessModel model, int nodes) {
   const auto wall_start = std::chrono::steady_clock::now();  // detlint: allow(wall-clock) -- bench wall metering: measures the simulator itself, never feeds a simulated outcome
   sim::Simulation simu;
-  // Both arms settle eagerly: this bench isolates the *solver* cost per
-  // churn event (dense vs incremental). Timestamp coalescing is a separate
-  // axis measured end-to-end by bench_micro_e2e_throughput.
-  sim::FlowNetwork net(simu, model, solver, sim::CoalesceMode::kEager);
+  sim::FlowNetwork net(simu, model);
 
   std::vector<sim::FlowNetwork::ResourceId> nic_in, nic_out, disk;
   std::vector<bool> up(static_cast<std::size_t>(nodes), true);
@@ -84,8 +77,7 @@ ArmResult run_arm(sim::SolverMode solver, sim::FairnessModel model, int nodes,
   Rng churn_rng{7};
   auto flip = [&](std::size_t n, bool to_up) {
     const double f = to_up ? 1.0 : 0.0;
-    std::optional<sim::FlowNetwork::CapacityBatch> batch;
-    if (batched_flips) batch.emplace(net);
+    sim::FlowNetwork::CapacityBatch batch(net);
     net.set_capacity(nic_in[n], mibps(80.0) * f);
     net.set_capacity(nic_out[n], mibps(80.0) * f);
     net.set_capacity(disk[n], mibps(30.0) * f);
@@ -116,11 +108,19 @@ ArmResult run_arm(sim::SolverMode solver, sim::FairnessModel model, int nodes,
   return r;
 }
 
-ArmResult best_of(int reps, sim::SolverMode solver, sim::FairnessModel model,
-                  int nodes, bool batched) {
+/// The simulated outcome of a run: equal for equal seeds, or the simulator
+/// is nondeterministic.
+bool same_outcome(const ArmResult& a, const ArmResult& b) {
+  return a.completions == b.completions && a.events == b.events;
+}
+
+/// Best-of-`reps` wall time over at least two same-seed runs; nullopt when
+/// the runs' outcomes differ.
+std::optional<ArmResult> best_of(int reps, sim::FairnessModel model, int nodes) {
   ArmResult best;
-  for (int i = 0; i < reps; ++i) {
-    ArmResult r = run_arm(solver, model, nodes, batched);
+  for (int i = 0; i < std::max(reps, 2); ++i) {
+    ArmResult r = run_arm(model, nodes);
+    if (i > 0 && !same_outcome(r, best)) return std::nullopt;
     if (i == 0 || r.wall_ms < best.wall_ms) best = r;
   }
   return best;
@@ -130,47 +130,37 @@ ArmResult best_of(int reps, sim::SolverMode solver, sim::FairnessModel model,
 
 int main() {
   const int reps = bench::repetitions();
-  bench::JsonEmitter json("flow_churn");
+  bench::JsonEmitter json("flow_churn_incremental");
   Table table("flow_churn");
-  table.columns({"nodes", "fairness", "dense ms", "incremental ms", "speedup",
-                 "completions"});
+  table.columns({"nodes", "fairness", "wall ms", "completions", "sim events"});
 
   for (const int nodes : {64, 256, 1024}) {
     for (const auto model :
          {sim::FairnessModel::kMaxMin, sim::FairnessModel::kBottleneckShare}) {
       const std::string fairness =
           model == sim::FairnessModel::kMaxMin ? "maxmin" : "bshare";
-      const ArmResult dense =
-          best_of(reps, sim::SolverMode::kDense, model, nodes, false);
-      const ArmResult inc =
-          best_of(reps, sim::SolverMode::kIncremental, model, nodes, true);
-      if (inc.completions != dense.completions || inc.events != dense.events) {
-        std::cerr << "FATAL: solver arms diverged at " << nodes << " nodes ("
-                  << fairness << "): " << dense.completions << " vs "
-                  << inc.completions << " completions\n";
+      const std::optional<ArmResult> arm = best_of(reps, model, nodes);
+      if (!arm) {
+        std::cerr << "FATAL: same-seed runs diverged at " << nodes
+                  << " nodes (" << fairness << ")\n";
         return 1;
       }
-      const double speedup = dense.wall_ms / inc.wall_ms;
       table.add_row({std::to_string(nodes), fairness,
-                     Table::num(dense.wall_ms, 1), Table::num(inc.wall_ms, 1),
-                     Table::num(speedup, 1), std::to_string(inc.completions)});
-      for (const auto* arm : {&dense, &inc}) {
-        json.begin_row()
-            .field("nodes", static_cast<std::int64_t>(nodes))
-            .field("fairness", fairness)
-            .field("solver", arm == &dense ? "dense" : "incremental")
-            .field("wall_ms", arm->wall_ms)
-            .field("completions", static_cast<std::int64_t>(arm->completions))
-            .field("sim_events", static_cast<std::int64_t>(arm->events))
-            .field("speedup", arm == &dense ? 1.0 : speedup);
-      }
+                     Table::num(arm->wall_ms, 1),
+                     std::to_string(arm->completions),
+                     std::to_string(arm->events)});
+      json.begin_row()
+          .field("nodes", static_cast<std::int64_t>(nodes))
+          .field("fairness", fairness)
+          .field("wall_ms", arm->wall_ms)
+          .field("completions", static_cast<std::int64_t>(arm->completions))
+          .field("sim_events", static_cast<std::int64_t>(arm->events));
     }
   }
 
-  std::cout << "Flow-solver availability churn: dense (pre-incremental cost "
-               "profile, unbatched flips)\nvs incremental (batched flips); "
-               "identical simulated schedules, best of "
-            << reps << " rep(s).\n\n";
+  std::cout << "Flow-solver availability churn (incremental solver, batched "
+               "flips); same-seed runs\nidentical, best of "
+            << std::max(reps, 2) << " run(s).\n\n";
   table.print(std::cout);
   const std::string path = json.write();
   if (!path.empty()) std::cout << "\nwrote " << path << "\n";

@@ -74,12 +74,10 @@ BENCHMARK(BM_EventCancelRearm)
 void BM_FlowChurn(benchmark::State& state) {
   const auto model = state.range(1) == 0 ? sim::FairnessModel::kMaxMin
                                          : sim::FairnessModel::kBottleneckShare;
-  const auto solver = state.range(2) == 0 ? sim::SolverMode::kIncremental
-                                          : sim::SolverMode::kDense;
   const auto concurrent = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     sim::Simulation sim;
-    sim::FlowNetwork net(sim, model, solver);
+    sim::FlowNetwork net(sim, model);
     // A 64-node cluster's worth of resources.
     std::vector<sim::FlowNetwork::ResourceId> resources;
     for (int i = 0; i < 192; ++i) {
@@ -105,8 +103,8 @@ void BM_FlowChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2000);
 }
 BENCHMARK(BM_FlowChurn)
-    ->ArgsProduct({{64, 256}, {0, 1}, {0, 1}})
-    ->ArgNames({"flows", "bshare", "dense"});
+    ->ArgsProduct({{64, 256}, {0, 1}})
+    ->ArgNames({"flows", "bshare"});
 
 void BM_TraceGeneration(benchmark::State& state) {
   trace::GeneratorConfig cfg;

@@ -4,9 +4,8 @@
 
 namespace moon::cluster {
 
-Cluster::Cluster(sim::Simulation& sim, sim::FairnessModel model,
-                 sim::SolverMode solver, sim::CoalesceMode coalesce)
-    : sim_(sim), net_(sim, model, solver, coalesce) {}
+Cluster::Cluster(sim::Simulation& sim, sim::FairnessModel model)
+    : sim_(sim), net_(sim, model) {}
 
 NodeId Cluster::add_node(const NodeConfig& config) {
   const NodeId id{nodes_.size()};

@@ -14,9 +14,7 @@ namespace moon::cluster {
 class Cluster {
  public:
   explicit Cluster(sim::Simulation& sim,
-                   sim::FairnessModel model = sim::FairnessModel::kMaxMin,
-                   sim::SolverMode solver = sim::SolverMode::kIncremental,
-                   sim::CoalesceMode coalesce = sim::CoalesceMode::kCoalesced);
+                   sim::FairnessModel model = sim::FairnessModel::kMaxMin);
 
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <map>
 #include <ostream>
+#include <utility>
 
 #include "common/log.hpp"
 #include "simkit/fault_hooks.hpp"
@@ -130,9 +131,9 @@ struct Dfs::WriteOp final : Dfs::Op {
       path = {writer_node.disk(), writer_node.nic_out(), target_node.nic_in(),
               target_node.disk()};
     }
-    const FlowId flow = net.start_flow(path, size, [this, block, target](FlowId f) {
-      on_replica_done(f, block, target);
-    });
+    const FlowId flow = net.start_flow(
+        std::move(path), size,
+        [this, block, target](FlowId f) { on_replica_done(f, block, target); });
     inflight_.emplace(flow, target);
   }
 
@@ -299,7 +300,7 @@ struct Dfs::ReadOp final : Dfs::Op {
       const auto& src_node = dfs_.cluster_.node(source_);
       path = {src_node.disk(), src_node.nic_out(), reader_node.nic_in()};
     }
-    flow_ = net.start_flow(path, bytes_, [this](FlowId) {
+    flow_ = net.start_flow(std::move(path), bytes_, [this](FlowId) {
       dfs_.namenode_.stats_mutable().bytes_read += bytes_;
       flow_ = FlowId::invalid();
       if (auto* faults = dfs_.sim_.faults();

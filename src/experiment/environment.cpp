@@ -10,8 +10,7 @@
 namespace moon::experiment {
 
 Environment::Environment(const ScenarioConfig& config)
-    : sim(config.seed),
-      cluster(sim, config.fairness, config.solver, config.coalesce) {
+    : sim(config.seed), cluster(sim, config.fairness) {
   // The members `sim`/`cluster`/`dfs` shadow their namespaces in here, so
   // namespace-qualified types spell out moon::.
   moon::cluster::NodeConfig volatile_cfg;

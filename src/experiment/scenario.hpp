@@ -58,11 +58,6 @@ struct ScenarioConfig {
   mapred::SchedulerConfig sched;
   dfs::DfsConfig dfs;
   sim::FairnessModel fairness = sim::FairnessModel::kBottleneckShare;
-  /// Flow-solver oracle knobs: the defaults are the shipping configuration;
-  /// kDense / kEager replay the same simulated outcomes bit for bit at the
-  /// pre-optimization cost profile (equivalence-tested).
-  sim::SolverMode solver = sim::SolverMode::kIncremental;
-  sim::CoalesceMode coalesce = sim::CoalesceMode::kCoalesced;
 
   // --- workload & replication ---
   workload::WorkloadModel app = workload::sort_workload();

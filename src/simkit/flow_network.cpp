@@ -25,21 +25,15 @@ bool FlowNetwork::completion_later(const CompletionEntry& a,
   return a.flow > b.flow;
 }
 
-FlowNetwork::FlowNetwork(Simulation& sim, FairnessModel model, SolverMode solver,
-                         CoalesceMode coalesce)
+FlowNetwork::FlowNetwork(Simulation& sim, FairnessModel model)
     : sim_(sim),
       model_(model),
-      solver_(solver),
-      coalesce_(coalesce),
-      last_update_(sim.now()) {
-  if (coalesce_ == CoalesceMode::kCoalesced) {
-    hook_ = sim_.add_flush_hook([this] { flush(); });
-  }
-}
+      hook_(sim.add_flush_hook([this] { flush(); })),
+      last_update_(sim.now()) {}
 
 FlowNetwork::~FlowNetwork() {
   if (completion_event_.valid()) sim_.cancel(completion_event_);
-  if (coalesce_ == CoalesceMode::kCoalesced) sim_.remove_flush_hook(hook_);
+  sim_.remove_flush_hook(hook_);
 }
 
 FlowNetwork::ResourceId FlowNetwork::add_resource(BytesPerSecond capacity) {
@@ -227,20 +221,6 @@ void FlowNetwork::retire(std::uint32_t slot) {
 }
 
 std::uint32_t FlowNetwork::next_due(Time now) {
-  if (solver_ == SolverMode::kDense) {
-    // Oracle scan: lowest (deadline, id) among due flows — the same order
-    // the completion heap pops.
-    std::uint32_t best = kNoSlot;
-    for (std::uint32_t s = live_head_; s != kNoSlot; s = slots_[s].live_next) {
-      const Flow& f = slots_[s];
-      if (f.deadline > now) continue;
-      if (best == kNoSlot || f.deadline < slots_[best].deadline ||
-          (f.deadline == slots_[best].deadline && f.id < slots_[best].id)) {
-        best = s;
-      }
-    }
-    return best;
-  }
   while (!heap_.empty()) {
     const CompletionEntry top = heap_.front();
     if (!heap_entry_valid(top)) {
@@ -268,13 +248,10 @@ void FlowNetwork::maybe_settle() {
   // always defer: the outer settle's recompute, or the batch close, covers
   // the queued dirty work.
   if (settling_ || batch_depth_ > 0) return;
-  if (coalesce_ == CoalesceMode::kEager) {
-    settle();
-    return;
-  }
-  // A completion due at this very instant must retire *now*: the eager path
-  // would fire its callback inside this churn call, and deferring it past
-  // further same-timestamp events could change what those events observe.
+  // A completion due at this very instant must retire *now*: a settle after
+  // every churn call would fire its callback inside this churn call, and
+  // deferring it past further same-timestamp events could change what those
+  // events observe.
   // `scheduled_for_` tracks the earliest deadline as of the last settle, and
   // deadlines only move at settles, so this test is exact.
   if (completion_event_.valid() && scheduled_for_ <= sim_.now()) {
@@ -320,18 +297,10 @@ void FlowNetwork::settle() {
 
 void FlowNetwork::recompute() {
   Profiler::Scope profile(sim_.profiler(), Profiler::Key::kRecompute);
-  if (solver_ == SolverMode::kDense) {
-    if (model_ == FairnessModel::kMaxMin) {
-      recompute_dense_maxmin();
-    } else {
-      recompute_dense_bottleneck_share();
-    }
+  if (model_ == FairnessModel::kMaxMin) {
+    recompute_region_maxmin();
   } else {
-    if (model_ == FairnessModel::kMaxMin) {
-      recompute_region_maxmin();
-    } else {
-      recompute_incremental_bottleneck_share();
-    }
+    recompute_incremental_bottleneck_share();
   }
   for (ResourceId r : dirty_resources_) {
     resources_[r].seed_dirty = false;
@@ -369,7 +338,7 @@ void FlowNetwork::refresh_deadline(std::uint32_t slot) {
     }
     f.deadline = sim_.now() + static_cast<Duration>(us);
   }
-  if (solver_ == SolverMode::kIncremental) push_completion_entry(slot);
+  push_completion_entry(slot);
 }
 
 void FlowNetwork::push_completion_entry(std::uint32_t slot) {
@@ -393,13 +362,6 @@ void FlowNetwork::compact_completion_heap() {
 }
 
 Time FlowNetwork::next_deadline() {
-  if (solver_ == SolverMode::kDense) {
-    Time next = kTimeMax;
-    for (std::uint32_t s = live_head_; s != kNoSlot; s = slots_[s].live_next) {
-      if (slots_[s].deadline < next) next = slots_[s].deadline;
-    }
-    return next;
-  }
   while (!heap_.empty()) {
     if (heap_entry_valid(heap_.front())) return heap_.front().deadline;
     std::pop_heap(heap_.begin(), heap_.end(), completion_later);
@@ -428,103 +390,6 @@ void FlowNetwork::reschedule_completion_event() {
 }
 
 // ---- rate allocators -------------------------------------------------------
-
-void FlowNetwork::recompute_dense_maxmin() {
-  // Progressive filling (max-min fairness) over the whole network.
-  for (Resource& res : resources_) {
-    res.residual = res.cap;
-    res.load = 0;
-  }
-  dense_unfrozen_.clear();
-  for (std::uint32_t s = live_head_; s != kNoSlot; s = slots_[s].live_next) {
-    Flow& f = slots_[s];
-    if (f.path().empty()) {
-      // Resource-less flow: completes at infinite rate.
-      assign_rate(s, kInfinity);
-      continue;
-    }
-    dense_unfrozen_.push_back(s);
-    for (ResourceId r : f.path()) ++resources_[r].load;
-  }
-
-  while (!dense_unfrozen_.empty()) {
-    // Find the bottleneck: the resource with the smallest fair share.
-    double best_share = kInfinity;
-    std::size_t best_r = resources_.size();
-    for (std::size_t r = 0; r < resources_.size(); ++r) {
-      if (resources_[r].load == 0) continue;
-      const double share =
-          resources_[r].residual / static_cast<double>(resources_[r].load);
-      if (share < best_share) {
-        best_share = share;
-        best_r = r;
-      }
-    }
-    if (best_r == resources_.size()) break;  // no loaded resources remain
-
-    // Freeze every unfrozen flow crossing the bottleneck at that share.
-    const double rate = std::max(0.0, best_share);
-    for (auto it = dense_unfrozen_.begin(); it != dense_unfrozen_.end();) {
-      Flow& f = slots_[*it];
-      const auto path = f.path();
-      const bool crosses =
-          std::find(path.begin(), path.end(), best_r) != path.end();
-      if (!crosses) {
-        ++it;
-        continue;
-      }
-      for (ResourceId r : path) {
-        resources_[r].residual = std::max(0.0, resources_[r].residual - rate);
-        --resources_[r].load;
-      }
-      assign_rate(*it, rate);
-      it = dense_unfrozen_.erase(it);
-    }
-  }
-}
-
-void FlowNetwork::recompute_dense_bottleneck_share() {
-  // Fast approximation: each flow receives the worst per-resource fair share
-  // along its path. Shares never sum above capacity on any resource.
-  //
-  // Stalled flows (any zero-capacity resource on the path, i.e. an endpoint
-  // node is down) are excluded from the load counts first: exact max-min
-  // redistributes their share automatically, and without this exclusion a
-  // volatile cluster collapses — half the flows are stalled at any moment
-  // and would pin down capacity they cannot use.
-  for (Resource& res : resources_) res.load = 0;
-  for (std::uint32_t s = live_head_; s != kNoSlot; s = slots_[s].live_next) {
-    Flow& f = slots_[s];
-    bool stalled = false;
-    for (ResourceId r : f.path()) {
-      if (resources_[r].cap <= 0.0) {
-        stalled = true;
-        break;
-      }
-    }
-    f.fill_mark = stalled;
-    if (!stalled) {
-      for (ResourceId r : f.path()) ++resources_[r].load;
-    }
-  }
-  for (std::uint32_t s = live_head_; s != kNoSlot; s = slots_[s].live_next) {
-    Flow& f = slots_[s];
-    if (f.fill_mark) {
-      assign_rate(s, 0.0);
-      continue;
-    }
-    if (f.path().empty()) {
-      assign_rate(s, kInfinity);
-      continue;
-    }
-    double rate = kInfinity;
-    for (ResourceId r : f.path()) {
-      rate = std::min(rate, resources_[r].cap /
-                                static_cast<double>(resources_[r].load));
-    }
-    assign_rate(s, std::max(0.0, rate));
-  }
-}
 
 void FlowNetwork::recompute_region_maxmin() {
   // Allocations in disjoint components of the flow graph are independent, so
@@ -594,8 +459,8 @@ void FlowNetwork::recompute_region_maxmin() {
 
   // Progressive filling restricted to the region. Bottleneck selection uses
   // a lazily-invalidated min-heap of (share, resource) instead of a scan of
-  // every resource per round; the (share, index) order reproduces the dense
-  // solver's lowest-index tie-break, and since no two entries differ in
+  // every resource per round; the (share, index) order reproduces a full
+  // scan's lowest-index tie-break, and since no two entries differ in
   // resource alone the pop order does not depend on how the heap was built.
   const auto share_later = [](const ShareEntry& a, const ShareEntry& b) {
     if (a.share != b.share) return a.share > b.share;
@@ -677,6 +542,14 @@ void FlowNetwork::update_share_status(std::uint32_t slot) {
 }
 
 void FlowNetwork::recompute_incremental_bottleneck_share() {
+  // Each flow receives the worst per-resource fair share along its path, so
+  // shares never sum above capacity on any resource. Stalled flows (a
+  // zero-capacity resource on the path: an endpoint node is down) are left
+  // out of the load counts: exact max-min redistributes their share by
+  // itself, and without the exclusion a volatile cluster collapses, since
+  // many flows are stalled at any moment and would pin capacity they cannot
+  // use.
+  //
   // Bottleneck-share rates depend only on a flow's own stall status and the
   // live-flow counts of its resources, so the affected set is the distance-2
   // neighbourhood of the churn, not a whole component. `share_load` is

@@ -17,19 +17,19 @@
 // The solver is incremental (see DESIGN.md §8): churn re-rates only the
 // dirty region of the flow graph, completions pop from a lazy min-heap of
 // projected deadlines, and `CapacityBatch` coalesces multi-resource churn
-// (a node availability flip) into a single settle. The pre-incremental
-// dense solver is retained behind `SolverMode::kDense` as the equivalence
-// oracle and the benchmark baseline; both modes produce bit-identical
-// simulated outcomes.
+// (a node availability flip) into a single settle.
 //
-// Settles themselves are timestamp-coalesced (see DESIGN.md §11): under
-// `CoalesceMode::kCoalesced` (default) churn only queues dirty work and the
-// recompute runs once per virtual timestamp via an end-of-timestamp flush
-// hook registered with the Simulation. Observable reads (`rate()`,
-// `remaining()`) force a settle-on-read, and a completion due at the
-// current instant forces a full settle before any further churn applies, so
-// coalesced and eager (`CoalesceMode::kEager`, one settle per churn call)
-// execution produce bit-identical simulated outcomes.
+// Settles themselves are timestamp-coalesced (see DESIGN.md §11): churn
+// only queues dirty work and the recompute runs once per virtual timestamp
+// via an end-of-timestamp flush hook registered with the Simulation.
+// Observable reads (`rate()`, `remaining()`) force a settle-on-read, and a
+// completion due at the current instant forces a full settle before any
+// further churn applies, so the simulated outcome is the one a settle after
+// every churn call would give. This is the only production path. The
+// oracles it is checked against live in the tests: a free-standing dense
+// reference solver (tests/simkit/reference_rates.hpp) that every sampled
+// rate must equal exactly, and a read after every churn call, which settles
+// eagerly through the same code.
 #pragma once
 
 #include <array>
@@ -59,31 +59,6 @@ enum class FairnessModel {
   kBottleneckShare,
 };
 
-/// Rate-recompute strategy. Both modes produce bit-identical simulated
-/// outcomes (completion order and times, rates at any sample point,
-/// transferred bytes); they differ only in how much work churn costs.
-enum class SolverMode {
-  /// Incremental: recompute only flows whose allocation can have changed,
-  /// schedule completions through a lazily-invalidated min-heap.
-  kIncremental,
-  /// Dense: recompute every flow on every churn event. Retained as the
-  /// oracle for the equivalence test and as the benchmark baseline.
-  kDense,
-};
-
-/// Settle-scheduling strategy. Both modes produce bit-identical simulated
-/// outcomes; they differ only in how many times the rate recompute runs per
-/// virtual timestamp.
-enum class CoalesceMode {
-  /// Churn queues dirty work; the recompute runs once per virtual timestamp
-  /// via the Simulation's end-of-timestamp flush hook. Observable reads and
-  /// due completions force an early settle. The shipping configuration.
-  kCoalesced,
-  /// Settle after every churn call — the pre-coalescing cost profile,
-  /// retained as the equivalence oracle and the benchmark baseline.
-  kEager,
-};
-
 class FlowNetwork {
  public:
   using ResourceId = std::size_t;
@@ -91,9 +66,7 @@ class FlowNetwork {
   using CompletionFn = std::function<void(FlowId)>;
 
   explicit FlowNetwork(Simulation& sim,
-                       FairnessModel model = FairnessModel::kMaxMin,
-                       SolverMode solver = SolverMode::kIncremental,
-                       CoalesceMode coalesce = CoalesceMode::kCoalesced);
+                       FairnessModel model = FairnessModel::kMaxMin);
 
   FlowNetwork(const FlowNetwork&) = delete;
   FlowNetwork& operator=(const FlowNetwork&) = delete;
@@ -111,7 +84,7 @@ class FlowNetwork {
    public:
     explicit CapacityBatch(FlowNetwork& net) : net_(net) {
       // Settle coalesced churn from before the batch so "pre-batch rates"
-      // means the settled pre-batch allocation (no-op under kEager).
+      // means the settled pre-batch allocation.
       if (net_.batch_depth_ == 0) net_.settle_for_read();
       ++net_.batch_depth_;
     }
@@ -229,8 +202,8 @@ class FlowNetwork {
   };
 
   // Completion heap: min by (deadline, flow id) — the id tie-break keeps the
-  // retire order of simultaneous completions deterministic and identical
-  // across solver modes.
+  // retire order of simultaneous completions deterministic (lowest id
+  // first; the flow-network goldens record this order).
   static bool completion_later(const CompletionEntry& a, const CompletionEntry& b);
 
   [[nodiscard]] const Flow* find_flow(FlowId id) const;
@@ -238,15 +211,14 @@ class FlowNetwork {
   /// Accrues progress for all flows since `last_update_`, retires due
   /// flows, recomputes dirty rates, and re-arms the completion event.
   void settle();
-  /// Post-churn hook: settles immediately under kEager (or when a completion
-  /// is due at this instant — its callback must fire at the same point the
-  /// eager path would run it); otherwise arms the end-of-timestamp flush.
+  /// Post-churn hook: settles immediately when a completion is due at this
+  /// instant (its callback must fire at the same point a settle after every
+  /// churn call would run it); otherwise arms the end-of-timestamp flush.
   void maybe_settle();
   /// End-of-timestamp flush (runs via the Simulation hook).
   void flush();
   /// Settle-on-read: makes deferred dirty work observable before a rate or
-  /// remaining-bytes query. No-op mid-settle, inside a batch, or when clean
-  /// (in particular: always a no-op under kEager).
+  /// remaining-bytes query. No-op mid-settle, inside a batch, or when clean.
   void settle_for_read() {
     if (!settling_ && batch_depth_ == 0 && has_dirty()) settle();
   }
@@ -259,8 +231,6 @@ class FlowNetwork {
     return !dirty_resources_.empty() || !dirty_flows_.empty();
   }
   void recompute();
-  void recompute_dense_maxmin();
-  void recompute_dense_bottleneck_share();
   void recompute_region_maxmin();
   void recompute_incremental_bottleneck_share();
   void update_share_status(std::uint32_t slot);
@@ -274,9 +244,7 @@ class FlowNetwork {
 
   Simulation& sim_;
   FairnessModel model_;
-  SolverMode solver_;
-  CoalesceMode coalesce_;
-  Simulation::FlushHookId hook_ = 0;  // registered only under kCoalesced
+  Simulation::FlushHookId hook_;
   bool flush_armed_ = false;
   IdAllocator<FlowId> ids_;
   std::vector<Resource> resources_;
@@ -306,7 +274,6 @@ class FlowNetwork {
   std::vector<ShareEntry> share_heap_;
   std::vector<ResourceId> round_touched_;
   std::vector<std::uint32_t> rate_set_;
-  std::vector<std::uint32_t> dense_unfrozen_;
 };
 
 }  // namespace moon::sim

@@ -126,6 +126,12 @@ void Simulation::run_until(Time t) {
       }
       break;
     }
+    if (queue_.front().time > now_ && armed_hooks_ > 0) {
+      // Flush here rather than in step(): a hook may cancel the front event
+      // and re-arm it past `t`, so the horizon must be rechecked after it.
+      run_flushes();
+      continue;
+    }
     step();
   }
   if (now_ < t) now_ = t;

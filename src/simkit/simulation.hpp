@@ -74,6 +74,7 @@ class Simulation {
   bool step();
 
   /// Runs all events with timestamp <= `t`, then advances the clock to `t`.
+  /// An event a flush hook moves past `t` stays queued.
   void run_until(Time t);
 
   /// Runs until the event queue drains.

@@ -2,27 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/units.hpp"
+#include "reference_rates.hpp"
 #include "simkit/simulation.hpp"
 
 namespace moon::sim {
 namespace {
 
-/// Runs both fairness models × both solver modes × both coalesce modes
-/// through the same scenarios where their behaviour must agree
-/// (single-bottleneck cases). Covering the dense/eager oracles here keeps
-/// the equivalence test's references trustworthy.
-class FlowModelTest
-    : public ::testing::TestWithParam<
-          std::tuple<FairnessModel, SolverMode, CoalesceMode>> {
+/// Runs both fairness models through the same scenarios where their
+/// behaviour must agree (single-bottleneck cases).
+class FlowModelTest : public ::testing::TestWithParam<FairnessModel> {
  protected:
   Simulation sim_;
-  FlowNetwork net_{sim_, std::get<0>(GetParam()), std::get<1>(GetParam()),
-                   std::get<2>(GetParam())};
+  FlowNetwork net_{sim_, GetParam()};
 };
 
 TEST_P(FlowModelTest, SingleFlowFinishesAtExpectedTime) {
@@ -274,26 +270,15 @@ TEST_P(FlowModelTest, ManyFlowsAllComplete) {
   EXPECT_EQ(net_.active_flows(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Models, FlowModelTest,
-    ::testing::Combine(::testing::Values(FairnessModel::kMaxMin,
-                                         FairnessModel::kBottleneckShare),
-                       ::testing::Values(SolverMode::kIncremental,
-                                         SolverMode::kDense),
-                       ::testing::Values(CoalesceMode::kCoalesced,
-                                         CoalesceMode::kEager)),
-    [](const auto& param_info) {
-      std::string name = std::get<0>(param_info.param) == FairnessModel::kMaxMin
-                             ? "MaxMin"
-                             : "BottleneckShare";
-      name += std::get<1>(param_info.param) == SolverMode::kIncremental
-                  ? "Incremental"
-                  : "Dense";
-      name += std::get<2>(param_info.param) == CoalesceMode::kCoalesced
-                  ? "Coalesced"
-                  : "Eager";
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(Models, FlowModelTest,
+                         ::testing::Values(FairnessModel::kMaxMin,
+                                           FairnessModel::kBottleneckShare),
+                         [](const auto& param_info) {
+                           return std::string(param_info.param ==
+                                                      FairnessModel::kMaxMin
+                                                  ? "MaxMin"
+                                                  : "BottleneckShare");
+                         });
 
 // ---- max-min-specific behaviour -------------------------------------------
 
@@ -321,6 +306,86 @@ TEST(FlowBottleneckShare, ApproximationIsConservative) {
   // so the approximation never over-subscribes: 10 + 50 <= 100.
   EXPECT_NEAR(net.rate(a), 10.0, 0.01);
   EXPECT_NEAR(net.rate(b), 50.0, 0.01);
+}
+
+// ---- the test-side reference solver ----------------------------------------
+// Hand-computed cases for testing::reference_rates, which the equivalence
+// and fuzz suites hold every sampled rate to.
+
+using testing::reference_rates;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(ReferenceRates, SingleBottleneckSharesEqually) {
+  for (const auto model :
+       {FairnessModel::kMaxMin, FairnessModel::kBottleneckShare}) {
+    EXPECT_EQ(reference_rates(model, {100.0, 1000.0}, {{0}, {0, 1}, {0}}),
+              (std::vector<double>{100.0 / 3, 100.0 / 3, 100.0 / 3}));
+  }
+}
+
+TEST(ReferenceRates, MaxMinRedistributesResidual) {
+  // Narrow (10) and wide (100): the flow crossing both gets 10, the flow on
+  // wide alone the residual 90.
+  EXPECT_EQ(reference_rates(FairnessModel::kMaxMin, {10.0, 100.0}, {{0, 1}, {1}}),
+            (std::vector<double>{10.0, 90.0}));
+}
+
+TEST(ReferenceRates, BottleneckShareDoesNotRedistribute) {
+  // The same flows get min(10/1, 100/2) = 10 and 100/2 = 50.
+  EXPECT_EQ(reference_rates(FairnessModel::kBottleneckShare, {10.0, 100.0},
+                            {{0, 1}, {1}}),
+            (std::vector<double>{10.0, 50.0}));
+}
+
+TEST(ReferenceRates, StalledFlowGetsZeroAndFreesItsShare) {
+  for (const auto model :
+       {FairnessModel::kMaxMin, FairnessModel::kBottleneckShare}) {
+    EXPECT_EQ(reference_rates(model, {100.0, 0.0}, {{0, 1}, {0}}),
+              (std::vector<double>{0.0, 100.0}));
+  }
+}
+
+TEST(ReferenceRates, EmptyPathIsInfinite) {
+  for (const auto model :
+       {FairnessModel::kMaxMin, FairnessModel::kBottleneckShare}) {
+    EXPECT_EQ(reference_rates(model, {100.0}, {{}, {0}}),
+              (std::vector<double>{kInf, 100.0}));
+  }
+}
+
+TEST(ReferenceRates, ResourceListedTwiceCountsTwice) {
+  // Flow A crosses r0 twice, flow B once: r0 carries load 3. Max-min freezes
+  // both at 90/3 = 30 (A then uses 60 of r0); bottleneck-share gives each
+  // min over its hops of 90/3.
+  for (const auto model :
+       {FairnessModel::kMaxMin, FairnessModel::kBottleneckShare}) {
+    EXPECT_EQ(reference_rates(model, {90.0, 1000.0}, {{0, 0}, {0, 1}}),
+              (std::vector<double>{30.0, 30.0}));
+  }
+  // Max-min with a residual: A (r0 twice) and B (r0, r1 = 10). B freezes at
+  // 10 first; A alone is left with 90 - 10 = 80 on a hop it crosses twice.
+  EXPECT_EQ(reference_rates(FairnessModel::kMaxMin, {90.0, 10.0}, {{0, 0}, {0, 1}}),
+            (std::vector<double>{40.0, 10.0}));
+}
+
+TEST(ReferenceRates, MatchesTheNetworkOnHandCases) {
+  for (const auto model :
+       {FairnessModel::kMaxMin, FairnessModel::kBottleneckShare}) {
+    Simulation sim;
+    FlowNetwork net(sim, model);
+    const auto a = net.add_resource(90.0);
+    const auto b = net.add_resource(10.0);
+    const auto c = net.add_resource(0.0);
+    const FlowId f0 = net.start_flow({a, a}, 1'000'000, [](FlowId) {});
+    const FlowId f1 = net.start_flow({a, b}, 1'000'000, [](FlowId) {});
+    const FlowId f2 = net.start_flow({b, c}, 1'000'000, [](FlowId) {});
+    const std::vector<double> want =
+        reference_rates(model, {90.0, 10.0, 0.0}, {{a, a}, {a, b}, {b, c}});
+    EXPECT_EQ(net.rate(f0), want[0]);
+    EXPECT_EQ(net.rate(f1), want[1]);
+    EXPECT_EQ(net.rate(f2), want[2]);
+  }
 }
 
 TEST(FlowNetwork, InvalidResourceThrows) {

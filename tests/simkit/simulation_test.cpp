@@ -120,6 +120,27 @@ TEST(Simulation, RunUntilAdvancesClockWithNoEvents) {
   EXPECT_EQ(sim.now(), 1000);
 }
 
+TEST(Simulation, RunUntilRechecksHorizonAfterFlush) {
+  // The flush before the clock advances past 0 cancels the event due at 10
+  // and re-arms it at 20 (as the FlowNetwork's coalesced settle does with
+  // its completion event). run_until(15) must stop at 15 without running it.
+  Simulation sim;
+  bool late_ran = false;
+  const EventId early = sim.schedule_at(10, [] {});
+  const Simulation::FlushHookId hook = sim.add_flush_hook([&] {
+    sim.cancel(early);
+    sim.schedule_at(20, [&] { late_ran = true; });
+  });
+  sim.arm_flush(hook);
+  sim.run_until(15);
+  EXPECT_EQ(sim.now(), 15);
+  EXPECT_FALSE(late_ran);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_TRUE(late_ran);
+  EXPECT_EQ(sim.now(), 20);
+}
+
 TEST(Simulation, StepReturnsFalseWhenEmpty) {
   Simulation sim;
   EXPECT_FALSE(sim.step());
