@@ -3,7 +3,7 @@
 // Each bench binary regenerates one table or figure from the paper: same
 // rows/series, our measured values. Absolute numbers differ from System X;
 // the *shapes* (orderings, crossovers, rough factors) are the reproduction
-// target — see EXPERIMENTS.md.
+// target — see DESIGN.md §6 (calibration).
 #pragma once
 
 #include <cstdlib>
@@ -16,8 +16,7 @@
 #include <vector>
 
 #include "common/table.hpp"
-#include "experiment/fault_cli.hpp"
-#include "experiment/obs_cli.hpp"
+#include "experiment/cli.hpp"
 #include "experiment/scenario.hpp"
 
 namespace moon::bench {
@@ -103,32 +102,30 @@ class JsonEmitter {
 class ObsBench {
  public:
   ObsBench(int& argc, char** argv)
-      : cli_(experiment::parse_obs_cli(argc, argv)),
-        faults_(experiment::parse_faults_cli(argc, argv)) {}
+      : cli_(experiment::parse_cli(argc, argv)) {}
 
-  [[nodiscard]] bool any() const { return cli_.any(); }
+  [[nodiscard]] bool any() const { return cli_.obs.any(); }
 
   /// Switches collection / fault injection on for `cfg` when flags were
   /// given. A malformed --faults= spec exits (already reported to stderr).
   void apply(experiment::ScenarioConfig& cfg) const {
-    cli_.apply(cfg.obs);
-    if (!faults_.apply(cfg.faults)) std::exit(2);
+    cli_.obs.apply(cfg.obs);
+    if (!cli_.faults.apply(cfg.faults)) std::exit(2);
   }
 
   /// run_repetitions observer: remembers the latest run's bundle.
   [[nodiscard]] std::function<void(const experiment::RunResult&)> observer() {
-    if (!cli_.any()) return {};
+    if (!cli_.obs.any()) return {};
     return [this](const experiment::RunResult& run) {
       if (run.obs) bundle_ = run.obs;
     };
   }
 
   /// Writes the captured bundle's exports (call once, at bench exit).
-  void export_all() const { cli_.export_run(bundle_.get()); }
+  void export_all() const { cli_.obs.export_run(bundle_.get()); }
 
  private:
-  experiment::ObsCli cli_;
-  experiment::FaultCli faults_;
+  experiment::Cli cli_;
   std::shared_ptr<obs::Observability> bundle_;
 };
 

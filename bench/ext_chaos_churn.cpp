@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "experiment/fault_cli.hpp"
+#include "experiment/cli.hpp"
 
 using namespace moon;
 
@@ -65,7 +65,7 @@ experiment::ScenarioConfig base(const std::string& spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const experiment::FaultCli extra = experiment::parse_faults_cli(argc, argv);
+  const experiment::FaultCli extra = experiment::parse_cli(argc, argv).faults;
   const std::vector<std::pair<std::string, std::string>> variants{
       {"none", ""},
       {"outages", "outages"},

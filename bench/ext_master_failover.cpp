@@ -97,12 +97,12 @@ int main() {
                        run.fault_stats.jobtracker_crashes;
             recoveries += run.fault_stats.master_recoveries;
             down_s += sim::to_seconds(run.fault_stats.master_downtime);
-            parked += run.dfs_stats.ops_parked + run.reports_parked;
+            parked += run.dfs_stats.ops_parked + run.recovery.reports_parked;
             retries += run.dfs_stats.master_retries;
-            replayed += run.reports_replayed;
-            reregs += run.reregistrations;
-            orphans += run.orphans_killed;
-            divergences += run.journal_divergences;
+            replayed += run.recovery.reports_replayed;
+            reregs += run.recovery.reregistrations;
+            orphans += run.recovery.orphans_killed;
+            divergences += run.journal.divergences;
             violations_total += run.audit_violations;
             if (!run.finished) ++incomplete;
             // Every crash that fired inside the run recovered inside it too

@@ -131,7 +131,8 @@ std::string fingerprint(const experiment::MultiJobResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const experiment::FaultCli fault_cli = experiment::parse_faults_cli(argc, argv);
+  const experiment::FaultCli fault_cli =
+      experiment::parse_cli(argc, argv).faults;
   const std::string chaos_spec =
       fault_cli.spec.empty() ? "outages,heartbeats:0.05" : fault_cli.spec;
 

@@ -13,7 +13,7 @@
 #include <memory>
 
 #include "common/table.hpp"
-#include "experiment/obs_cli.hpp"
+#include "experiment/cli.hpp"
 #include "experiment/scenario.hpp"
 #include "mapred/job.hpp"
 #include "mapred/jobtracker.hpp"
@@ -112,7 +112,7 @@ DemoResult run(bool checkpointing, const experiment::ObsCli& obs_cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const experiment::ObsCli obs_cli = experiment::parse_obs_cli(argc, argv);
+  const experiment::ObsCli obs_cli = experiment::parse_cli(argc, argv).obs;
   std::cout << "=== Reduce checkpoint/resume demo ===\n\n";
   std::cout << "with checkpointing:\n";
   const DemoResult warm = run(/*checkpointing=*/true, obs_cli);

@@ -17,9 +17,8 @@
 #include <vector>
 
 #include "common/table.hpp"
-#include "experiment/admission_cli.hpp"
+#include "experiment/cli.hpp"
 #include "experiment/multi_job.hpp"
-#include "experiment/obs_cli.hpp"
 #include "mapred/job_policy.hpp"
 
 using namespace moon;
@@ -79,17 +78,19 @@ experiment::MultiJobConfig config(mapred::SchedulerConfig::JobPolicy policy) {
 
 int main(int argc, char** argv) {
   using JobPolicy = mapred::SchedulerConfig::JobPolicy;
-  const experiment::ObsCli obs_cli = experiment::parse_obs_cli(argc, argv);
-  const experiment::AdmissionCli adm_cli =
-      experiment::parse_admission_cli(argc, argv);
+  const experiment::Cli cli = experiment::parse_cli(argc, argv);
+  const experiment::ObsCli& obs_cli = cli.obs;
+  const experiment::AdmissionCli& adm_cli = cli.admission;
   std::vector<JobPolicy> policies = {JobPolicy::kFifo, JobPolicy::kFairShare,
                                      JobPolicy::kShortestRemaining};
   // A deadline mix makes the EDF policy meaningful; add its pass.
-  if (adm_cli.deadline_s > 0.0) policies.push_back(JobPolicy::kDeadlineEdf);
+  if (adm_cli.deadline_s() > 0.0) policies.push_back(JobPolicy::kDeadlineEdf);
   for (JobPolicy policy : policies) {
     auto cfg = config(policy);
-    if (!adm_cli.apply(cfg.base.sched.admission)) return 1;
-    adm_cli.apply_deadline(cfg.arrivals);
+    if (!adm_cli.apply(cfg.base.sched.admission) ||
+        !adm_cli.apply_deadline(cfg.arrivals)) {
+      return 1;
+    }
     if (policy == JobPolicy::kFifo) obs_cli.apply(cfg.base.obs);
     const auto result = experiment::run_multi_job_scenario(cfg);
     if (policy == JobPolicy::kFifo) obs_cli.export_run(result.obs.get());
@@ -117,10 +118,10 @@ int main(int argc, char** argv) {
                 << result.admission.shed << ", deferred "
                 << result.admission.deferred << "\n";
     }
-    if (adm_cli.deadline_s > 0.0) {
+    if (adm_cli.deadline_s() > 0.0) {
       std::cout << "  SLA: " << result.sla_missed_jobs << "/"
                 << result.sla_eligible_jobs << " missed (deadline "
-                << adm_cli.deadline_s << " s)\n";
+                << adm_cli.deadline_s() << " s)\n";
     }
     std::cout << "\n";
   }

@@ -18,13 +18,13 @@
 #include <iostream>
 
 #include "common/table.hpp"
-#include "experiment/obs_cli.hpp"
+#include "experiment/cli.hpp"
 #include "experiment/scenario.hpp"
 
 using namespace moon;
 
 int main(int argc, char** argv) {
-  const experiment::ObsCli obs_cli = experiment::parse_obs_cli(argc, argv);
+  const experiment::ObsCli obs_cli = experiment::parse_cli(argc, argv).obs;
 
   experiment::ScenarioConfig cfg;
   cfg.volatile_nodes = 60;

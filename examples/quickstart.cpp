@@ -13,8 +13,7 @@
 #include <iostream>
 
 #include "common/table.hpp"
-#include "experiment/fault_cli.hpp"
-#include "experiment/obs_cli.hpp"
+#include "experiment/cli.hpp"
 #include "experiment/scenario.hpp"
 
 using namespace moon;
@@ -38,9 +37,9 @@ experiment::ScenarioConfig base_config(double rate) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const experiment::ObsCli obs_cli = experiment::parse_obs_cli(argc, argv);
-  const experiment::FaultCli fault_cli =
-      experiment::parse_faults_cli(argc, argv);
+  const experiment::Cli cli = experiment::parse_cli(argc, argv);
+  const experiment::ObsCli& obs_cli = cli.obs;
+  const experiment::FaultCli& fault_cli = cli.faults;
   const double rate = argc > 1 ? std::atof(argv[1]) : 0.4;
 
   std::cout << "MOON quickstart: sort-like job, 20 volatile + 2 dedicated "

@@ -1,8 +1,6 @@
-// Shared scenario environment: the trace -> cluster -> DFS -> JobTracker
-// wiring that both run_scenario and run_multi_job_scenario sit on. One
-// construction path keeps the two harnesses structurally identical — the
-// single-arrival kFifo golden test (bit-identity between them) holds by
-// shared code, not by a hand-maintained mirror.
+// Scenario environment: the trace -> cluster -> DFS -> JobTracker wiring
+// the run harness (run_multi_job_scenario, which run_scenario projects onto
+// one arrival) sits on, and that benchmarks build directly to time setup.
 #pragma once
 
 #include <memory>

@@ -25,12 +25,47 @@ double jain_index(const std::vector<double>& samples) {
   return (sum * sum) / (static_cast<double>(n) * sum_sq);
 }
 
+namespace {
+
+/// The environment's end-of-run totals, after one final audit sweep at the
+/// end-of-run state. Finalizes observability: the gauges probe the
+/// environment, so the bundle detaches before it goes away and rides out
+/// in the result.
+RunTotals end_of_run_totals(Environment& env) {
+  RunTotals totals;
+  totals.replication_queue_depth =
+      env.dfs->namenode().replication_queue_depth();
+  totals.profile = env.sim.profiler().snapshot();
+  totals.dfs_stats = env.dfs->stats();
+  if (env.injector) totals.fault_stats = env.injector->stats();
+  totals.quarantines = env.jobtracker->quarantines_total();
+  if (env.nn_journal) {
+    for (const recovery::JournalStats* j :
+         {&env.nn_journal->stats(), &env.jt_journal->stats()}) {
+      totals.journal.records_appended += j->records_appended;
+      totals.journal.bytes_journaled += j->bytes_journaled;
+      totals.journal.snapshots_taken += j->snapshots_taken;
+      totals.journal.replays += j->replays;
+      totals.journal.divergences += j->divergences;
+    }
+  }
+  totals.recovery = env.jobtracker->recovery_stats();
+  if (env.auditor) {
+    env.auditor->run();
+    totals.audit_passes = env.auditor->passes();
+    totals.audit_violations = env.auditor->violations_total();
+  }
+  if (env.obs) {
+    env.obs->finalize();
+    totals.obs = env.obs;
+  }
+  return totals;
+}
+
+}  // namespace
+
 MultiJobResult run_multi_job_scenario(const MultiJobConfig& config) {
   const ScenarioConfig& base = config.base;
-
-  // Shared with run_scenario (same RNG fork tags, same construction/start
-  // order), so a single-arrival kFifo stream is bit-identical to the
-  // single-job path.
   Environment env(base);
   sim::Simulation& sim = env.sim;
   dfs::Dfs& dfs = *env.dfs;
@@ -122,9 +157,9 @@ MultiJobResult run_multi_job_scenario(const MultiJobConfig& config) {
     outcome.run.outputs_committed =
         job.all_maps_done() && job.all_reduces_done();
     outcome.run.execution_time_s =
-        job.finished()
+        outcome.run.finished
             ? job.metrics().execution_time_s()
-            : sim::to_seconds(sim.now() - job.metrics().submitted_at);
+            : sim::to_seconds(sim.now() - arrivals[i].submit_at);
     outcome.latency_s = latency_s;
     outcome.queue_wait_s = job.metrics().queue_wait_s();
     outcomes[i] = std::move(outcome);
@@ -168,9 +203,9 @@ MultiJobResult run_multi_job_scenario(const MultiJobConfig& config) {
     if (!config.retain_job_results) pending_retire.push_back(job.id());
   });
 
-  // Arrivals hitting a crashed JobTracker retry on a fixed 5 s ticket, same
-  // as the single-job harness (DESIGN.md §14); once the master is up they
-  // go through admission control when it is configured.
+  // Arrivals hitting a crashed JobTracker retry on a fixed 5 s ticket
+  // (DESIGN.md §14); once the master is up they go through admission
+  // control when it is configured.
   std::function<void(std::size_t)> try_submit = [&](std::size_t i) {
     if (!jobtracker.available()) {
       sim.schedule_after(5 * sim::kSecond, [&, i] { try_submit(i); });
@@ -286,20 +321,7 @@ MultiJobResult run_multi_job_scenario(const MultiJobConfig& config) {
     result.admission = admission->stats();
     result.admission_sequence_hash = admission->sequence_hash();
   }
-  result.replication_queue_depth = dfs.namenode().replication_queue_depth();
-  result.profile = sim.profiler().snapshot();
-  result.dfs_stats = dfs.stats();
-  if (env.injector) result.fault_stats = env.injector->stats();
-  result.quarantines = jobtracker.quarantines_total();
-  if (env.auditor) {
-    env.auditor->run();  // one final sweep at the end-of-run state
-    result.audit_passes = env.auditor->passes();
-    result.audit_violations = env.auditor->violations_total();
-  }
-  if (env.obs) {
-    env.obs->finalize();
-    result.obs = env.obs;
-  }
+  static_cast<RunTotals&>(result) = end_of_run_totals(env);
   return result;
 }
 

@@ -1,12 +1,11 @@
 // Multi-job experiment harness (DESIGN.md §10, §16): wires one opportunistic
 // cluster + DFS + JobTracker, replays a JobArrivalStream into it, and
-// collects per-job RunResults plus stream-level metrics (makespan, mean/p95
+// collects per-job JobRuns plus stream-level metrics (makespan, mean/p95
 // job latency, Jain fairness index, SLA misses, admission outcomes).
 //
-// The environment setup is the same experiment::Environment run_scenario
-// uses (shared construction path, same RNG fork tags and startup order), so
-// a kFifo stream with a single arrival reproduces the single-job schedule
-// bit for bit — asserted by tests/experiment/multi_job_test.cpp.
+// This is the only run harness: run_scenario is this harness on a single
+// arrival, so the single-job and stream paths agree bit for bit by
+// construction.
 //
 // Steady-state serving (DESIGN.md §16): arrivals route through the
 // JobTracker's AdmissionController when base.sched.admission.enabled, and
@@ -63,10 +62,11 @@ struct JobOutcome {
   sim::Time submitted_at = 0;
   double latency_s = 0.0;        ///< completion - arrival (horizon if DNF)
   double queue_wait_s = 0.0;     ///< submission -> first launched attempt
-  RunResult run;                 ///< per-job metrics/progress snapshot
+  JobRun run;                    ///< per-job metrics/progress snapshot
 };
 
-struct MultiJobResult {
+/// Stream outcomes on top of the environment's end-of-run totals.
+struct MultiJobResult : RunTotals {
   std::vector<JobOutcome> jobs;  ///< empty when retain_job_results == false
   int submitted_jobs = 0;  ///< arrivals admitted to the JobTracker
   int completed_jobs = 0;
@@ -113,23 +113,6 @@ struct MultiJobResult {
   /// FNV-1a over the controller's (decision, time) sequence; equal hashes
   /// across same-seed runs certify bit-identical admit/reject/shed streams.
   std::uint64_t admission_sequence_hash = 0;
-
-  std::size_t replication_queue_depth = 0;
-  // Fault-injection & audit accounting, cluster-wide (zero when faults off).
-  faults::FaultStats fault_stats{};
-  std::int64_t quarantines = 0;
-  std::int64_t audit_passes = 0;
-  std::int64_t audit_violations = 0;
-  /// Host wall-clock profile of the whole stream run (shared simulator).
-  sim::Profiler::Snapshot profile{};
-  dfs::DfsStats dfs_stats;  ///< cluster-wide (the DFS is shared by all jobs)
-  /// Control-plane cost across the stream — the profiler's kHeartbeat view.
-  [[nodiscard]] double scheduling_wall_ms() const {
-    return profile[static_cast<std::size_t>(sim::Profiler::Key::kHeartbeat)]
-        .ms();
-  }
-  /// The run's observability bundle (null when base.obs was all-off).
-  std::shared_ptr<obs::Observability> obs;
 };
 
 /// Runs the arrival stream to completion (or base.max_sim_time). Arrivals

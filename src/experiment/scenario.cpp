@@ -1,99 +1,31 @@
 #include "experiment/scenario.hpp"
 
-#include <iostream>
-#include <memory>
+#include <utility>
 
-#include "experiment/environment.hpp"
+#include "experiment/multi_job.hpp"
 
 namespace moon::experiment {
 
 RunResult run_scenario(const ScenarioConfig& config) {
-  Environment env(config);
-  sim::Simulation& sim = env.sim;
-  dfs::Dfs& dfs = *env.dfs;
-  mapred::JobTracker& jobtracker = *env.jobtracker;
-
-  // Stage the input with one block per map task.
-  const dfs::FileKind input_kind = config.dedicated_known
-                                       ? dfs::FileKind::kReliable
-                                       : dfs::FileKind::kOpportunistic;
-  const FileId input = dfs.stage_blocks(
-      config.app.name + ".input", input_kind, config.input_factor,
-      config.app.num_maps, config.app.input_block_bytes);
-
-  const int reduce_slot_total =
-      static_cast<int>(env.cluster.size()) * config.reduce_slots;
-  mapred::JobSpec spec = workload::make_job_spec(
-      config.app, input, reduce_slot_total, config.intermediate_kind,
-      config.intermediate_factor, config.output_factor);
-
+  MultiJobConfig stream;
+  stream.base = config;
+  stream.arrivals.process = workload::ArrivalConfig::Process::kFixedOffset;
+  stream.arrivals.num_jobs = 1;
+  stream.arrivals.first_arrival = config.submit_at;
+  stream.arrivals.mix = {{config.app, 1.0}};
+  MultiJobResult streamed = run_multi_job_scenario(stream);
   RunResult result;
-  result.num_maps = spec.num_maps;
-  result.num_reduces = spec.num_reduces;
-
-  bool done = false;
-  mapred::Job* the_job = nullptr;
-  jobtracker.on_job_finished([&](mapred::Job&) { done = true; });
-  // A client hitting a crashed JobTracker retries on a fixed 5 s ticket
-  // (DESIGN.md §14); with master_crash off the gate never fires.
-  std::function<void()> try_submit = [&] {
-    if (!jobtracker.available()) {
-      sim.schedule_after(5 * sim::kSecond, [&] { try_submit(); });
-      return;
-    }
-    const JobId id = jobtracker.submit(spec);
-    the_job = &jobtracker.job(id);
-  };
-  sim.schedule_at(config.submit_at, [&] { try_submit(); });
-
-  while (!done && sim.now() < config.max_sim_time) {
-    if (!sim.step()) break;
+  if (streamed.jobs.empty()) {
+    // Never submitted before the horizon: report the spec's task counts.
+    const int cluster_size =
+        static_cast<int>(config.volatile_nodes + config.dedicated_nodes);
+    result.num_maps = config.app.num_maps;
+    result.num_reduces =
+        config.app.reduces_for(cluster_size * config.reduce_slots);
+  } else {
+    static_cast<JobRun&>(result) = std::move(streamed.jobs.front().run);
   }
-
-  if (the_job != nullptr) {
-    if (config.dump_unfinished && !the_job->finished()) {
-      the_job->debug_dump(std::cerr);
-    }
-    result.metrics = the_job->metrics();
-    result.finished = the_job->metrics().completed;
-    result.execution_time_s =
-        result.finished ? the_job->metrics().execution_time_s()
-                        : sim::to_seconds(sim.now() - config.submit_at);
-    result.completed_maps = the_job->completed_tasks(mapred::TaskType::kMap);
-    result.completed_reduces =
-        the_job->completed_tasks(mapred::TaskType::kReduce);
-    result.outputs_committed =
-        the_job->all_maps_done() && the_job->all_reduces_done();
-  }
-  result.replication_queue_depth = dfs.namenode().replication_queue_depth();
-  result.profile = sim.profiler().snapshot();
-  result.dfs_stats = dfs.stats();
-  if (env.injector) result.fault_stats = env.injector->stats();
-  result.quarantines = jobtracker.quarantines_total();
-  if (env.nn_journal) {
-    result.journal_records = env.nn_journal->stats().records_appended +
-                             env.jt_journal->stats().records_appended;
-    result.journal_snapshots = env.nn_journal->stats().snapshots_taken +
-                               env.jt_journal->stats().snapshots_taken;
-    result.journal_divergences = env.nn_journal->stats().divergences +
-                                 env.jt_journal->stats().divergences;
-  }
-  result.heartbeats_missed = jobtracker.heartbeats_missed();
-  result.reports_parked = jobtracker.reports_parked();
-  result.reports_replayed = jobtracker.reports_replayed();
-  result.reregistrations = jobtracker.reregistrations();
-  result.orphans_killed = jobtracker.orphans_killed();
-  if (env.auditor) {
-    env.auditor->run();  // one final sweep at the end-of-run state
-    result.audit_passes = env.auditor->passes();
-    result.audit_violations = env.auditor->violations_total();
-  }
-  // Detach observability before the environment (which the gauges probe)
-  // goes away; the finalized bundle rides out in the result.
-  if (env.obs) {
-    env.obs->finalize();
-    result.obs = env.obs;
-  }
+  static_cast<RunTotals&>(result) = std::move(streamed);
   return result;
 }
 

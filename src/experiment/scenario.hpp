@@ -24,6 +24,7 @@
 #include "faults/fault_injector.hpp"
 #include "mapred/types.hpp"
 #include "obs/observability.hpp"
+#include "recovery/master_journal.hpp"
 #include "simkit/flow_network.hpp"
 #include "simkit/profiler.hpp"
 #include "trace/trace_generator.hpp"
@@ -81,17 +82,50 @@ struct ScenarioConfig {
   faults::FaultConfig faults;
 };
 
-struct RunResult {
+/// One job's metrics and end-of-run progress snapshot. `finished` is
+/// metrics.completed. A completed job's execution_time_s is its own
+/// submission-to-finish time; any other job (aborted, shed, or still running
+/// at the horizon) measures it from its *arrival* to the snapshot, so time
+/// spent waiting on a crashed JobTracker counts. A job never submitted
+/// before the horizon keeps its spec's task counts with finished = false and
+/// execution_time_s = 0.
+struct JobRun {
   mapred::JobMetrics metrics;
-  dfs::DfsStats dfs_stats;
   int num_maps = 0;
   int num_reduces = 0;
   bool finished = false;  ///< completed within the horizon
-  double execution_time_s = 0.0;  ///< horizon time if DNF
+  double execution_time_s = 0.0;
+  // End-of-run progress snapshot (diagnoses DNF runs).
+  int completed_maps = 0;
+  int completed_reduces = 0;
+  bool outputs_committed = false;  ///< all reduces done, waiting on factors
+  [[nodiscard]] int duplicated_tasks() const {
+    return metrics.duplicated_tasks(num_maps, num_reduces);
+  }
+};
+
+/// End-of-run totals of one Environment, shared by every job it ran.
+struct RunTotals {
   /// Host wall-clock profile of the run's hot paths (settle/recompute, DFS
   /// probes, replication scans, heartbeats, speculation) — what the next
   /// perf PR should look at before guessing.
   sim::Profiler::Snapshot profile{};
+  dfs::DfsStats dfs_stats;  ///< cluster-wide (the DFS is shared by all jobs)
+  std::size_t replication_queue_depth = 0;
+  // Fault-injection & audit accounting (all zero when config.faults is off).
+  faults::FaultStats fault_stats{};
+  std::int64_t quarantines = 0;      ///< flaky-node quarantine entries
+  std::int64_t audit_passes = 0;     ///< periodic invariant sweeps run
+  std::int64_t audit_violations = 0; ///< total violations across sweeps
+  /// Master crash-recovery accounting (DESIGN.md §14; all zero unless
+  /// faults.master_crash is on — the goldens assert exactly that).
+  /// `journal` sums the NameNode and JobTracker journals field by field;
+  /// journal.divergences counts replay-vs-live diffs and must stay 0.
+  recovery::JournalStats journal{};
+  mapred::RecoveryStats recovery{};
+  /// The run's observability bundle (null when config.obs was all-off);
+  /// finalized — trace/metrics/event log are complete and exportable.
+  std::shared_ptr<obs::Observability> obs;
   /// Wall-clock ms the JobTracker spent making heartbeat assignment
   /// decisions (the measured Figure-4 "scheduling time"). Derived from the
   /// profiler's kHeartbeat counter — one measurement, two views.
@@ -99,35 +133,13 @@ struct RunResult {
     return profile[static_cast<std::size_t>(sim::Profiler::Key::kHeartbeat)]
         .ms();
   }
-  /// The run's observability bundle (null when config.obs was all-off);
-  /// finalized — trace/metrics/event log are complete and exportable.
-  std::shared_ptr<obs::Observability> obs;
-  // End-of-run progress snapshot (diagnoses DNF runs).
-  int completed_maps = 0;
-  int completed_reduces = 0;
-  bool outputs_committed = false;  ///< all reduces done, waiting on factors
-  std::size_t replication_queue_depth = 0;
-  // Fault-injection & audit accounting (all zero when config.faults is off).
-  faults::FaultStats fault_stats{};
-  std::int64_t quarantines = 0;      ///< flaky-node quarantine entries
-  std::int64_t audit_passes = 0;     ///< periodic invariant sweeps run
-  std::int64_t audit_violations = 0; ///< total violations across sweeps
-  // Master crash-recovery accounting (DESIGN.md §14; all zero unless
-  // faults.master_crash is on — the goldens assert exactly that).
-  std::int64_t journal_records = 0;      ///< NN+JT journal records appended
-  std::int64_t journal_snapshots = 0;    ///< snapshot folds taken
-  std::int64_t journal_divergences = 0;  ///< replay-vs-live diffs (must be 0)
-  std::int64_t heartbeats_missed = 0;    ///< TT beats dropped while JT down
-  std::int64_t reports_parked = 0;       ///< outcomes parked on attempts
-  std::int64_t reports_replayed = 0;     ///< parked reports delivered post-recovery
-  std::int64_t reregistrations = 0;      ///< trackers re-registered at recovery
-  std::int64_t orphans_killed = 0;       ///< attempts reconciled away post-recovery
-  [[nodiscard]] int duplicated_tasks() const {
-    return metrics.duplicated_tasks(num_maps, num_reduces);
-  }
 };
 
-/// Runs one job to completion (or the horizon) and collects everything.
+struct RunResult : JobRun, RunTotals {};
+
+/// Runs one job to completion (or the horizon) and collects everything: the
+/// stream harness (run_multi_job_scenario) on the single arrival
+/// {config.submit_at, config.app}.
 RunResult run_scenario(const ScenarioConfig& config);
 
 // ---- policy presets (paper §VI) -------------------------------------------

@@ -331,7 +331,7 @@ void JobTracker::recover() {
     if (!cluster_.node(node).available()) continue;
     info.last_heartbeat = sim_.now();
     set_tracker_state(info, TrackerState::kLive);
-    ++reregistrations_;
+    ++recovery_stats_.reregistrations;
   }
   // Trackers that could not re-register are lost to the recovered master —
   // it has no record of them, so unlike plain suspension (where the old
@@ -347,7 +347,7 @@ void JobTracker::recover() {
   // Orphan reconciliation: kill attempts whose task (or whole job) the
   // recovered state says is already done.
   for (Job* job : jobs_by_order_) {
-    orphans_killed_ += job->reconcile_after_recovery();
+    recovery_stats_.orphans_killed += job->reconcile_after_recovery();
   }
   // Deliver outcome reports that parked while the master was down. Each
   // delivery can kill redundant attempts (mutating the per-tracker attempt
@@ -366,11 +366,12 @@ void JobTracker::recover() {
     }
     if (next == nullptr) break;
     next->deliver_parked_report();
-    ++reports_replayed_;
+    ++recovery_stats_.reports_replayed;
   }
   log::info("jobtracker", "master recovered",
             {{"epoch", std::to_string(epoch_)},
-             {"reregistered", std::to_string(reregistrations_)}});
+             {"reregistered",
+              std::to_string(recovery_stats_.reregistrations)}});
 }
 
 std::int64_t JobTracker::diff_against_journal() const {

@@ -97,20 +97,12 @@ class JobTracker {
   /// orphaned attempts and delivers parked outcome reports.
   void crash();
   void recover();
-  /// Counters for obs/benches; all stay 0 when master_crash is off.
-  [[nodiscard]] std::int64_t heartbeats_missed() const {
-    return heartbeats_missed_;
+  [[nodiscard]] const RecoveryStats& recovery_stats() const {
+    return recovery_stats_;
   }
-  [[nodiscard]] std::int64_t reports_parked() const { return reports_parked_; }
-  [[nodiscard]] std::int64_t reports_replayed() const {
-    return reports_replayed_;
-  }
-  [[nodiscard]] std::int64_t reregistrations() const { return reregistrations_; }
-  [[nodiscard]] std::int64_t orphans_killed() const { return orphans_killed_; }
   /// TaskTracker-side bookkeeping hooks (master down).
-  void note_heartbeat_missed() { ++heartbeats_missed_; }
-  void note_report_parked() { ++reports_parked_; }
-  void note_report_replayed() { ++reports_replayed_; }
+  void note_heartbeat_missed() { ++recovery_stats_.heartbeats_missed; }
+  void note_report_parked() { ++recovery_stats_.reports_parked; }
 
   /// Fires when a job completes or fails.
   void on_job_finished(std::function<void(Job&)> callback);
@@ -239,11 +231,7 @@ class JobTracker {
   bool up_ = true;
   int epoch_ = 0;
   recovery::JobTrackerJournal* journal_ = nullptr;
-  std::int64_t heartbeats_missed_ = 0;
-  std::int64_t reports_parked_ = 0;
-  std::int64_t reports_replayed_ = 0;
-  std::int64_t reregistrations_ = 0;
-  std::int64_t orphans_killed_ = 0;
+  RecoveryStats recovery_stats_;
   std::unique_ptr<SpeculationPolicy> speculator_;
   std::unique_ptr<JobSchedulingPolicy> job_policy_;
   /// Null unless config_.admission.enabled (zero perturbation). Declared

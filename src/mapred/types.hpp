@@ -284,4 +284,14 @@ struct JobMetrics {
   }
 };
 
+/// JobTracker crash-recovery counters (DESIGN.md §14); all stay 0 while
+/// faults.master_crash is off — the goldens assert exactly that.
+struct RecoveryStats {
+  std::int64_t heartbeats_missed = 0;  ///< TT beats dropped while JT down
+  std::int64_t reports_parked = 0;     ///< outcomes parked on attempts
+  std::int64_t reports_replayed = 0;   ///< parked reports delivered at recovery
+  std::int64_t reregistrations = 0;    ///< trackers re-registered at recovery
+  std::int64_t orphans_killed = 0;     ///< attempts reconciled away at recovery
+};
+
 }  // namespace moon::mapred

@@ -9,10 +9,10 @@
 //   obs.finalize();                // final sample, close open spans, detach
 //
 // finalize() MUST run before the Simulation (and anything the gauges probe)
-// dies: gauges capture raw pointers into the environment. run_scenario /
-// run_multi_job_scenario call it before tearing the environment down; after
-// that the snapshots (series, trace records, log ring) remain valid and are
-// what RunResult carries out.
+// dies: gauges capture raw pointers into the environment. The experiment
+// run harness calls it before tearing the environment down; after that the
+// snapshots (series, trace records, log ring) remain valid and are what
+// RunTotals::obs carries out.
 //
 // Zero-perturbation contract (enforced by tests/obs/perturbation_test):
 // everything here only *reads* simulation state. The sampler adds events to

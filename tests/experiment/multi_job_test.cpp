@@ -1,10 +1,12 @@
 // Multi-job harness: the kFifo single-arrival golden (bit-identical to the
 // single-job run_scenario path), horizon robustness (the historical
 // multi_job example crashed reading jobs whose submissions never fired),
-// and the stream-level metrics.
+// the stream-level metrics, and a stream under master crashes.
 #include "experiment/multi_job.hpp"
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 namespace moon::experiment {
 namespace {
@@ -127,6 +129,69 @@ TEST(MultiJobHarness, StreamMetricsAggregateAcrossJobs) {
   // Makespan covers first submission to last completion: at least the
   // longest single-job latency plus the last job's offset.
   EXPECT_GE(result.makespan_s, max_latency);
+}
+
+// A stream under NameNode and JobTracker crashes: every job rides out the
+// outages, journal replay matches live master state, the post-recovery
+// sweeps stay clean, and the whole run replays bit-identically.
+TEST(MultiJobHarness, StreamSurvivesMasterCrashes) {
+  MultiJobConfig mcfg;
+  mcfg.base = small_scenario();
+  mcfg.base.volatile_nodes = 12;
+  mcfg.base.dedicated_nodes = 2;
+  mcfg.base.faults.enabled = true;
+  mcfg.base.faults.master_crash.enabled = true;
+  // Crash early and often enough to land inside the short stream.
+  mcfg.base.faults.master_crash.mean_interval = 2 * sim::kMinute;
+  mcfg.base.faults.master_crash.min_interval = 45 * sim::kSecond;
+  mcfg.base.faults.master_crash.mean_downtime = 60 * sim::kSecond;
+  mcfg.base.faults.master_crash.min_downtime = 20 * sim::kSecond;
+  mcfg.base.faults.master_crash.max_crashes = 2;
+  mcfg.arrivals.process = workload::ArrivalConfig::Process::kFixedOffset;
+  mcfg.arrivals.num_jobs = 5;
+  mcfg.arrivals.first_arrival = 60 * sim::kSecond;
+  mcfg.arrivals.fixed_offset = 45 * sim::kSecond;
+  mcfg.arrivals.mix = {{mcfg.base.app, 1.0}};
+
+  for (std::uint64_t seed : {20100621u, 7u, 3u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    mcfg.base.seed = seed;
+    const MultiJobResult a = run_multi_job_scenario(mcfg);
+    EXPECT_GT(a.fault_stats.namenode_crashes, 0);
+    EXPECT_GT(a.fault_stats.jobtracker_crashes, 0);
+    EXPECT_EQ(a.completed_jobs, 5);
+    EXPECT_GT(a.journal.records_appended, 0);
+    EXPECT_EQ(a.journal.divergences, 0);
+    EXPECT_GT(a.audit_passes, 0);
+    EXPECT_EQ(a.audit_violations, 0);
+
+    const MultiJobResult b = run_multi_job_scenario(mcfg);
+    EXPECT_EQ(a.dfs_stats.bytes_read, b.dfs_stats.bytes_read);
+    EXPECT_EQ(a.dfs_stats.bytes_written, b.dfs_stats.bytes_written);
+    EXPECT_EQ(a.dfs_stats.replication_bytes, b.dfs_stats.replication_bytes);
+    EXPECT_EQ(a.dfs_stats.ops_parked, b.dfs_stats.ops_parked);
+    EXPECT_EQ(a.dfs_stats.master_retries, b.dfs_stats.master_retries);
+    EXPECT_EQ(a.dfs_stats.block_reports, b.dfs_stats.block_reports);
+    EXPECT_EQ(a.dfs_stats.heartbeats_skipped, b.dfs_stats.heartbeats_skipped);
+    EXPECT_EQ(a.replication_queue_depth, b.replication_queue_depth);
+    EXPECT_EQ(a.fault_stats.namenode_crashes, b.fault_stats.namenode_crashes);
+    EXPECT_EQ(a.fault_stats.jobtracker_crashes,
+              b.fault_stats.jobtracker_crashes);
+    EXPECT_EQ(a.fault_stats.master_recoveries, b.fault_stats.master_recoveries);
+    EXPECT_EQ(a.fault_stats.master_downtime, b.fault_stats.master_downtime);
+    EXPECT_EQ(a.quarantines, b.quarantines);
+    EXPECT_EQ(a.audit_passes, b.audit_passes);
+    EXPECT_EQ(a.journal.records_appended, b.journal.records_appended);
+    EXPECT_EQ(a.journal.bytes_journaled, b.journal.bytes_journaled);
+    EXPECT_EQ(a.journal.snapshots_taken, b.journal.snapshots_taken);
+    EXPECT_EQ(a.journal.replays, b.journal.replays);
+    EXPECT_EQ(a.recovery.heartbeats_missed, b.recovery.heartbeats_missed);
+    EXPECT_EQ(a.recovery.reports_parked, b.recovery.reports_parked);
+    EXPECT_EQ(a.recovery.reports_replayed, b.recovery.reports_replayed);
+    EXPECT_EQ(a.recovery.reregistrations, b.recovery.reregistrations);
+    EXPECT_EQ(a.recovery.orphans_killed, b.recovery.orphans_killed);
+    EXPECT_EQ(a.makespan_s, b.makespan_s);
+  }
 }
 
 TEST(JainIndex, MatchesClosedForm) {

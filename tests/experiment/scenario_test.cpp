@@ -144,5 +144,19 @@ TEST(Scenario, HorizonBoundsRuntime) {
   EXPECT_LE(result.execution_time_s, 60.0);
 }
 
+TEST(Scenario, JobNeverSubmittedReportsSpecCounts) {
+  auto cfg = small_config();
+  cfg.max_sim_time = cfg.submit_at;  // the submission never fires
+  cfg.app.fixed_reduces = 0;         // reduces derived from the cluster
+  cfg.app.reduce_slot_fraction = 0.5;
+  const auto result = run_scenario(cfg);
+  EXPECT_FALSE(result.finished);
+  EXPECT_EQ(result.execution_time_s, 0.0);
+  EXPECT_EQ(result.num_maps, 20);
+  // 11 nodes x 2 reduce slots x 0.5.
+  EXPECT_EQ(result.num_reduces, 11);
+  EXPECT_EQ(result.completed_maps, 0);
+}
+
 }  // namespace
 }  // namespace moon::experiment

@@ -51,12 +51,12 @@ TEST(MasterFailover, JobSurvivesMasterCrashes) {
   EXPECT_TRUE(result.finished);
   // Recovery rebuilt exactly the durable state the journal describes, and
   // the mandatory post-recovery sweeps found nothing.
-  EXPECT_GT(result.journal_records, 0);
-  EXPECT_EQ(result.journal_divergences, 0);
+  EXPECT_GT(result.journal.records_appended, 0);
+  EXPECT_EQ(result.journal.divergences, 0);
   EXPECT_GT(result.audit_passes, 0);
   EXPECT_EQ(result.audit_violations, 0);
   // Re-registration happened (trackers came back under the new epoch).
-  EXPECT_GT(result.reregistrations, 0);
+  EXPECT_GT(result.recovery.reregistrations, 0);
 }
 
 TEST(MasterFailover, SameSeedReplaysBitIdentically) {
@@ -78,13 +78,13 @@ TEST(MasterFailover, SameSeedReplaysBitIdentically) {
     EXPECT_EQ(a.fault_stats.namenode_crashes, b.fault_stats.namenode_crashes);
     EXPECT_EQ(a.fault_stats.jobtracker_crashes,
               b.fault_stats.jobtracker_crashes);
-    EXPECT_EQ(a.journal_records, b.journal_records);
-    EXPECT_EQ(a.journal_snapshots, b.journal_snapshots);
-    EXPECT_EQ(a.heartbeats_missed, b.heartbeats_missed);
-    EXPECT_EQ(a.reports_parked, b.reports_parked);
-    EXPECT_EQ(a.reports_replayed, b.reports_replayed);
-    EXPECT_EQ(a.reregistrations, b.reregistrations);
-    EXPECT_EQ(a.orphans_killed, b.orphans_killed);
+    EXPECT_EQ(a.journal.records_appended, b.journal.records_appended);
+    EXPECT_EQ(a.journal.snapshots_taken, b.journal.snapshots_taken);
+    EXPECT_EQ(a.recovery.heartbeats_missed, b.recovery.heartbeats_missed);
+    EXPECT_EQ(a.recovery.reports_parked, b.recovery.reports_parked);
+    EXPECT_EQ(a.recovery.reports_replayed, b.recovery.reports_replayed);
+    EXPECT_EQ(a.recovery.reregistrations, b.recovery.reregistrations);
+    EXPECT_EQ(a.recovery.orphans_killed, b.recovery.orphans_killed);
     EXPECT_EQ(a.audit_violations, 0);
     EXPECT_EQ(b.audit_violations, 0);
   }
@@ -117,14 +117,14 @@ TEST(MasterFailover, DisabledClassLeavesCountersAtZero) {
   EXPECT_TRUE(result.finished);
   EXPECT_EQ(result.fault_stats.namenode_crashes, 0);
   EXPECT_EQ(result.fault_stats.jobtracker_crashes, 0);
-  EXPECT_EQ(result.journal_records, 0);
+  EXPECT_EQ(result.journal.records_appended, 0);
   EXPECT_EQ(result.dfs_stats.ops_parked, 0);
   EXPECT_EQ(result.dfs_stats.master_retries, 0);
   EXPECT_EQ(result.dfs_stats.heartbeats_skipped, 0);
-  EXPECT_EQ(result.heartbeats_missed, 0);
-  EXPECT_EQ(result.reports_parked, 0);
-  EXPECT_EQ(result.reregistrations, 0);
-  EXPECT_EQ(result.orphans_killed, 0);
+  EXPECT_EQ(result.recovery.heartbeats_missed, 0);
+  EXPECT_EQ(result.recovery.reports_parked, 0);
+  EXPECT_EQ(result.recovery.reregistrations, 0);
+  EXPECT_EQ(result.recovery.orphans_killed, 0);
 }
 
 }  // namespace
